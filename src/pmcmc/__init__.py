@@ -7,110 +7,21 @@ and a master-worker runtime keeps the particle ensemble balanced across
 workers with results that are bit-identical for any worker count.
 """
 
-from .core import (
-    DegenerateEnsembleError,
-    EngineError,
-    ObservationSeries,
-    Parameters,
-    ParameterSpace,
-    ProtocolError,
-    SeedKey,
-    SerializationError,
-    ValidationError,
-    derive_seed,
-    make_stream,
-)
-from .executor import FilterDiagnostics, FilterResult, run_particle_filter
-from .filtering import (
-    LikelihoodEstimate,
-    estimate_marginal,
-    estimate_marginal_from_log,
-    normalize_weights,
-    redraw_rate,
-    resample_multinomial,
-    resample_systematic,
-)
-from .instrumentation import (
-    EfficiencyRecord,
-    StageSummary,
-    StageTiming,
-    aggregate_timings,
-    compute_efficiency,
-)
-from .models import (
-    Model,
-    build_model,
-    check_state_roundtrip,
-    get_model_entry,
-    kalman_log_marginal,
-    registered_models,
-)
-from .routing import ParticleLocation, Routing, RoutingEntry, compute_routing, traffic_metrics
-from .sampler import (
-    ChainRecord,
-    Evaluation,
-    LogNormalPrior,
-    Prior,
-    SamplerSettings,
-    UniformPrior,
-    acceptance_probability,
-    mh_step,
-    run_chain,
-)
-from .config import EngineConfig, Schedule, load_config, save_config
+from .core import ObservationSeries, Parameters
+from .executor import run_particle_filter
+from .models import LinearGaussianModel
+from .sampler import Prior, SamplerSettings, UniformPrior, run_chain
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainRecord",
-    "DegenerateEnsembleError",
-    "EfficiencyRecord",
-    "EngineConfig",
-    "EngineError",
-    "Evaluation",
-    "FilterDiagnostics",
-    "FilterResult",
-    "LikelihoodEstimate",
-    "LogNormalPrior",
-    "Model",
+    "LinearGaussianModel",
     "ObservationSeries",
-    "ParameterSpace",
     "Parameters",
-    "ParticleLocation",
     "Prior",
-    "ProtocolError",
-    "Routing",
-    "RoutingEntry",
     "SamplerSettings",
-    "Schedule",
-    "SeedKey",
-    "SerializationError",
-    "StageSummary",
-    "StageTiming",
     "UniformPrior",
-    "ValidationError",
-    "acceptance_probability",
-    "aggregate_timings",
-    "build_model",
-    "check_state_roundtrip",
-    "compute_efficiency",
-    "compute_routing",
-    "derive_seed",
-    "estimate_marginal",
-    "estimate_marginal_from_log",
-    "get_model_entry",
-    "kalman_log_marginal",
-    "load_config",
-    "make_stream",
-    "mh_step",
-    "normalize_weights",
-    "redraw_rate",
-    "registered_models",
-    "resample_multinomial",
-    "resample_systematic",
     "run_chain",
     "run_particle_filter",
-    "save_config",
-    "traffic_metrics",
     "__version__",
 ]

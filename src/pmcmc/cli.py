@@ -27,7 +27,7 @@ from .core import EngineError, ObservationSeries, Parameters, ValidationError, m
 from .executor import run_particle_filter, worker_lineages
 from .models import get_model_entry, kalman_log_marginal
 from .models.linear_gaussian import synthesize_linear_gaussian
-from .routing import ParticleLocation, compute_routing
+from .routing import compute_routing
 from .sampler import ChainRecord, SamplerSettings, run_chain
 
 __all__ = ["main", "cmd_synth", "cmd_run", "cmd_check", "read_observations",
@@ -78,9 +78,12 @@ def read_observations(path: Path, model_name: str) -> ObservationSeries:
         if len(row) != len(expected):
             raise ValidationError(f"{path} line {line_no}: expected {len(expected)} columns, got {len(row)}")
         try:
-            times.append(float(row[0]))
+            time = float(row[0])
         except ValueError:
-            raise ValidationError(f"{path} line {line_no}, field 'time': not a number: {row[0]!r}") from None
+            time = math.nan
+        if not math.isfinite(time):
+            raise ValidationError(f"{path} line {line_no}, field 'time': not a finite number: {row[0]!r}")
+        times.append(time)
         record = {}
         for field, text_value in zip(entry.fields, row[1:]):
             try:
@@ -214,26 +217,21 @@ def _check_routing_battery(seed: int, fault: bool) -> tuple[bool, str]:
         if case % 10 == 0:
             # identity resample on a balanced layout must cost nothing
             counts = np.ones(p, dtype=int)
-            locations = [ParticleLocation(i, w) for w in range(workers)
-                         for i in worker_lineages(w, p, workers)]
-            locations.sort(key=lambda loc: loc.lineage_id)
+            held = np.array([w for w in range(workers) for _ in worker_lineages(w, p, workers)])
         else:
-            locations = [ParticleLocation(i, int(w)) for i, w in
-                         enumerate(np.sort(rng.integers(0, workers, size=p)))]
-        routing = compute_routing(counts, locations, workers)
+            held = np.sort(rng.integers(0, workers, size=p))
+        routing = compute_routing(counts, held, workers)
         w_max = -(-p // workers)
-        loads = {}
-        for e in routing.entries:
-            loads[e.destination] = loads.get(e.destination, 0) + 1
-        if len(routing.entries) != p:
-            return False, f"case {case}: {len(routing.entries)} entries for p={p}"
-        if any(load > w_max for load in loads.values()):
+        loads = np.bincount(routing.destination, minlength=workers)
+        moved = routing.destination != routing.source
+        if routing.ensemble_size != p:
+            return False, f"case {case}: {routing.ensemble_size} entries for p={p}"
+        if loads.max() > w_max:
             return False, f"case {case}: load limit {w_max} exceeded"
-        moved_from = {e.source for e in routing.entries if e.destination != e.source}
-        for worker in moved_from:
-            if loads.get(worker, 0) < w_max:
+        for worker in sorted(set(routing.source[moved].tolist())):
+            if loads[worker] < w_max:
                 return False, f"case {case}: moved off worker {worker} despite spare capacity"
-        if all(c == 1 for c in counts) and any(e.destination != e.source for e in routing.entries):
+        if all(c == 1 for c in counts) and moved.any():
             return False, f"case {case}: identity resample produced moves"
     return True, f"{instances} randomized instances satisfied all routing properties"
 

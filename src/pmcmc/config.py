@@ -43,8 +43,7 @@ import yaml
 from .core import Parameters, ValidationError
 from .sampler import LogNormalPrior, Prior, UniformPrior
 
-__all__ = ["CONFIG_VERSION", "EngineConfig", "Schedule", "load_config", "save_config",
-           "config_from_mapping", "config_to_mapping"]
+__all__ = ["CONFIG_VERSION", "EngineConfig", "Schedule", "load_config", "config_from_mapping"]
 
 CONFIG_VERSION = 1
 
@@ -238,32 +237,3 @@ def load_config(path: str | Path) -> EngineConfig:
         return config_from_mapping(raw, base_dir=path.parent)
     except ValidationError as exc:
         raise ValidationError(f"config {path}: {exc}") from None
-
-
-def config_to_mapping(config: EngineConfig) -> dict:
-    """Plain mapping that parses back to an equivalent config."""
-    out: dict[str, Any] = {
-        "config_version": CONFIG_VERSION,
-        "model": {"name": config.model_name, **dict(config.model_config)},
-        "prior": {name: dict(spec) for name, spec in config.prior_spec.items()},
-        "initial": {name: config.initial[name] for name in config.initial.names},
-        "proposal_scales": dict(config.proposal_scales),
-        "schedule": {
-            "init_steps": config.schedule.init_steps,
-            "observations": config.schedule.observations,
-            "spacing": config.schedule.spacing,
-        },
-        "samples": config.samples,
-        "particles": config.particles,
-        "workers": config.workers,
-        "seed": config.seed,
-        "output_dir": str(config.output_dir),
-        "acceptance_window": config.acceptance_window,
-    }
-    if config.observations_path is not None:
-        out["observations_path"] = str(config.observations_path)
-    return out
-
-
-def save_config(config: EngineConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_mapping(config), sort_keys=False))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ __all__ = [
     "ProtocolError",
     "SerializationError",
     "Parameters",
-    "ParameterSpace",
     "SeedKey",
     "ObservationSeries",
     "derive_seed",
@@ -289,55 +287,6 @@ class Parameters(Mapping[str, float]):
             raise ValidationError(f"unknown parameter names: {sorted(unknown)}")
         return Parameters([(n, updates.get(n, v)) for n, v in zip(self._names, self._values)])
 
-    def to_text(self) -> str:
-        """JSON text that round-trips values exactly (repr-based floats)."""
-        return json.dumps(dict(zip(self._names, self._values)))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Parameters":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"invalid parameter text: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise SerializationError("parameter text must be a JSON object")
-        return cls(raw)
-
-
-@dataclass(frozen=True)
-class ParameterSpace:
-    """Declared parameter names with per-name closed bounds (possibly infinite)."""
-
-    names: tuple[str, ...]
-    bounds: Mapping[str, tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValidationError(f"duplicate names in parameter space: {self.names}")
-        for name in self.names:
-            if name not in self.bounds:
-                raise ValidationError(f"no bounds declared for parameter {name!r}")
-            lower, upper = self.bounds[name]
-            if not lower < upper:
-                raise ValidationError(f"empty bounds for {name!r}: [{lower}, {upper}]")
-
-    def validate(self, params: Parameters) -> None:
-        """Raise ValidationError unless every declared name is present and in bounds."""
-        for name in self.names:
-            if name not in params:
-                raise ValidationError(f"missing parameter {name!r}")
-            value = params[name]
-            lower, upper = self.bounds[name]
-            if not (lower <= value <= upper):
-                raise ValidationError(f"parameter {name!r}={value} outside [{lower}, {upper}]")
-
-    def contains(self, params: Parameters) -> bool:
-        try:
-            self.validate(params)
-        except ValidationError:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class ObservationSeries:
@@ -353,6 +302,12 @@ class ObservationSeries:
             raise ValidationError("an observation series needs at least one time point")
         if len(times) != len(data):
             raise ValidationError(f"{len(times)} times but {len(data)} data records")
+        try:
+            finite = all(math.isfinite(t) for t in times)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"observation times must be finite numbers: {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError(f"observation times must be strictly increasing: {times}")
         object.__setattr__(self, "times", times)

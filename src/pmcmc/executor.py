@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import threading
 import queue
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic, perf_counter
 from typing import Callable, Mapping
 
@@ -118,6 +118,7 @@ class _WorkerRuntime:
     def __init__(
         self,
         rank: int,
+        lineages: range,
         model_factory: Callable[[], Model],
         chain_index: int,
         commands: Channel,
@@ -127,6 +128,7 @@ class _WorkerRuntime:
         timeout: float,
     ):
         self.rank = rank
+        self.lineages = lineages
         self.model_factory = model_factory
         self.chain_index = chain_index
         self.commands = commands
@@ -190,12 +192,12 @@ class _WorkerRuntime:
         self.sample_index = command.sample_index
         t0 = perf_counter()
         self.particles = {}
-        for lineage, seed in zip(self.my_lineages, self._seeds(0, self.my_lineages)):
+        for lineage, seed in zip(self.lineages, self._seeds(0, self.lineages)):
             model = self.model_factory()
             model.init(command.parameters, seed)
             self.particles[lineage] = model
         self.pending.append(StageTiming("init", self.rank, self.sample_index, 0, perf_counter() - t0))
-        self.reports.send(InitReport(self.rank, tuple(self.my_lineages), self._flush_timings()))
+        self.reports.send(InitReport(self.rank, tuple(self.lineages), self._flush_timings()))
         self._init_done_at = perf_counter()
 
     def _advance(self, command: Advance) -> None:
@@ -328,8 +330,6 @@ class _WorkerRuntime:
 
     # -- helpers --------------------------------------------------------
 
-    my_lineages: range = range(0)
-
     def _flush_timings(self) -> tuple:
         out = tuple(self.pending)
         self.pending = []
@@ -383,10 +383,9 @@ def run_particle_filter(
     threads = []
     for rank in range(workers):
         runtime = _WorkerRuntime(
-            rank, model_factory, chain_index, commands[rank], reports,
-            inboxes[rank], {w: inboxes[w] for w in range(workers)}, timeout,
+            rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
+            reports, inboxes[rank], {w: inboxes[w] for w in range(workers)}, timeout,
         )
-        runtime.my_lineages = worker_lineages(rank, p, workers)
         runtimes.append(runtime)
         thread = threading.Thread(target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
         threads.append(thread)

@@ -20,7 +20,6 @@ from .core import DegenerateEnsembleError, ValidationError, make_stream
 
 __all__ = [
     "LikelihoodEstimate",
-    "estimate_marginal",
     "estimate_marginal_from_log",
     "normalize_weights",
     "redraw_rate",
@@ -122,23 +121,10 @@ class LikelihoodEstimate:
         return len(self.degenerate_observations) > 0
 
 
-def estimate_marginal(weight_matrix) -> LikelihoodEstimate:
-    """Estimate from an n x p matrix of per-event particle likelihoods
-    (linear space, finite, >= 0; rows ordered by event, columns by
-    lineage)."""
-    w = np.asarray(weight_matrix, dtype=np.float64)
-    if w.ndim != 2 or w.size == 0:
-        raise ValidationError("weight matrix must be a nonempty n x p array")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValidationError("weights must be finite and >= 0")
-    with np.errstate(divide="ignore"):
-        return estimate_marginal_from_log(np.log(w))
-
-
 def estimate_marginal_from_log(log_weight_matrix) -> LikelihoodEstimate:
-    """Estimate from an n x p matrix of log likelihoods (entries may be
-    -inf for zero likelihood; +inf and NaN are invalid). The preferred
-    entry point for models that evaluate densities in log space."""
+    """Estimate from an n x p matrix of per-event particle log likelihoods
+    (rows ordered by event, columns by lineage; entries may be -inf for
+    zero likelihood, +inf and NaN are invalid)."""
     lw = np.asarray(log_weight_matrix, dtype=np.float64)
     if lw.ndim != 2 or lw.size == 0:
         raise ValidationError("log-weight matrix must be a nonempty n x p array")

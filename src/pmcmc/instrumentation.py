@@ -39,8 +39,9 @@ STAGES = (
 )
 
 # The "main computing routines" whose share of total worker time defines
-# parallel efficiency; waiting and bookkeeping stages are excluded.
-MAIN_STAGES = frozenset({"init", "run", "observe", "likelihood-gather", "resample", "replicate"})
+# parallel efficiency; waiting and bookkeeping stages are excluded. The
+# master's likelihood-gather is its wait for the workers' run and observe.
+MAIN_STAGES = frozenset({"init", "run", "observe", "resample", "replicate"})
 
 # Stage records produced on the coordinating side use this rank.
 MASTER_RANK = -1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -18,9 +17,10 @@ class Model(ABC):
 
     An instance is single-threaded and owns its full state, including its
     random stream, so that ``load(save())`` reproduces future behavior
-    exactly. ``observe`` must be pure and nonnegative. ``run`` must be
-    Markov: the result distribution depends only on the current state, the
-    parameters, the target time, and the stream.
+    exactly. ``log_observe`` must be pure and return a log density: a
+    float below +inf, -inf for an impossible observation, never NaN.
+    ``run`` must be Markov: the result distribution depends only on the
+    current state, the parameters, the target time, and the stream.
 
     ``copy_from`` is the in-process replication path: it copies everything
     but the stream, and the engine always ``reseed``s the copy before its
@@ -35,16 +35,12 @@ class Model(ABC):
         """Construct the initial state for the given parameters and stream seed."""
 
     @abstractmethod
-    def run(self, target_time: float, seed: int | None = None) -> None:
-        """Advance the state to ``target_time``.
-
-        With ``seed=None`` the current stream continues; passing a seed
-        rekeys the stream first (equivalent to ``reseed`` then ``run``).
-        """
+    def run(self, target_time: float) -> None:
+        """Advance the state to ``target_time`` on the current stream."""
 
     @abstractmethod
-    def observe(self, data: Mapping[str, Any]) -> float:
-        """Likelihood of one observation record given the current state (linear space)."""
+    def log_observe(self, data: Mapping[str, Any]) -> float:
+        """Log likelihood of one observation record given the current state."""
 
     @abstractmethod
     def save(self) -> bytes:
@@ -68,17 +64,6 @@ class Model(ABC):
         override it when a direct copy is cheaper.
         """
         self.load(source.save())
-
-    def log_observe(self, data: Mapping[str, Any]) -> float:
-        """Log-space observation likelihood; override when the density underflows.
-
-        The default adapter takes the log of ``observe`` and maps a zero
-        likelihood to -inf.
-        """
-        value = self.observe(data)
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"observe() must return a finite nonnegative value, got {value}")
-        return math.log(value) if value > 0.0 else -math.inf
 
 
 def encode_state_payload(kind: str, payload: dict) -> bytes:
@@ -114,14 +99,15 @@ def check_state_roundtrip(
     """Verify the save/load contract on a pair of instances.
 
     ``original`` is saved and restored into ``blank``; both are then
-    advanced through the same (target_time, seed) schedule and their
-    observation likelihoods compared. The first diverging value is
-    reported.
+    advanced through the same (target_time, seed) schedule, each step a
+    ``reseed`` then a ``run``, and their observation likelihoods compared.
+    The first diverging value is reported.
     """
     blank.load(original.save())
     for idx, (target, seed) in enumerate(steps):
-        original.run(target, seed)
-        blank.run(target, seed)
+        for model in (original, blank):
+            model.reseed(seed)
+            model.run(target)
         a = original.log_observe(data)
         b = blank.log_observe(data)
         if a != b:

@@ -32,19 +32,14 @@ class DelayModel(Model):
         self._seed = int(seed)
         self._ready = True
 
-    def run(self, target_time: float, seed: int | None = None) -> None:
+    def run(self, target_time: float) -> None:
         if not self._ready:
             raise ValidationError("model not initialized")
         if target_time < self._time:
             raise ValidationError(f"target time must be >= {self._time}, got {target_time!r}")
-        if seed is not None:
-            self.reseed(seed)
         if self._delay_s > 0:
             time.sleep(self._delay_s)
         self._time = float(target_time)
-
-    def observe(self, data: Mapping[str, Any]) -> float:
-        return 1.0
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         return 0.0

@@ -75,23 +75,18 @@ class LinearGaussianModel(Model):
         self._rng = make_stream(seed)
         self._x = cfg["m0"] + cfg["s0"] * self._rng.standard_normal()
 
-    def run(self, target_time: float, seed: int | None = None) -> None:
+    def run(self, target_time: float) -> None:
         if self._rng is None:
             raise ValidationError("model not initialized")
         target = int(target_time)
         if target != target_time or target < self._time:
             raise ValidationError(f"target time must be an integer >= {self._time}, got {target_time!r}")
-        if seed is not None:
-            self.reseed(seed)
         a, q = self._cfg["a"], self._cfg["q"]
         x, rng = self._x, self._rng
         for _ in range(target - self._time):
             x = a * x + q * rng.standard_normal()
         self._x = x
         self._time = target
-
-    def observe(self, data: Mapping[str, Any]) -> float:
-        return math.exp(self.log_observe(data))
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         if "y" not in data:

@@ -58,7 +58,6 @@ __all__ = [
     "PredatorPreyModel",
     "death_probability",
     "ibm_log_observe",
-    "ibm_observe",
     "ibm_step",
     "ibm_synthesize",
 ]
@@ -249,10 +248,6 @@ def ibm_log_observe(state: IbmState, data: Mapping[str, Any], params: IbmParamet
     return total
 
 
-def ibm_observe(state: IbmState, data: Mapping[str, Any], params: IbmParameters) -> float:
-    return math.exp(ibm_log_observe(state, data, params))
-
-
 def ibm_synthesize(
     params: IbmParameters,
     times: Sequence[float],
@@ -310,21 +305,16 @@ class PredatorPreyModel(Model):
         self._state = IbmState.initial(self._initial[0], self._initial[1], self._params.maturation_mass)
         self._rng = make_stream(seed)
 
-    def run(self, target_time: float, seed: int | None = None) -> None:
+    def run(self, target_time: float) -> None:
         if self._state is None:
             raise ValidationError("model not initialized")
         target = int(target_time)
         if target != target_time or target < self._state.step:
             raise ValidationError(f"target time must be an integer >= {self._state.step}, got {target_time!r}")
-        if seed is not None:
-            self.reseed(seed)
         state, params, rng = self._state, self._params, self._rng
         while state.step < target:
             state = ibm_step(state, params, rng)
         self._state = state
-
-    def observe(self, data: Mapping[str, Any]) -> float:
-        return math.exp(self.log_observe(data))
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         if self._state is None:

@@ -9,72 +9,28 @@ serializable instruction set; workers execute their slice of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import ValidationError
 
-__all__ = [
-    "ParticleLocation",
-    "Routing",
-    "RoutingEntry",
-    "compute_routing",
-    "traffic_metrics",
-]
-
-
-@dataclass(frozen=True)
-class ParticleLocation:
-    """Where one particle currently lives."""
-
-    lineage_id: int
-    worker: int
-
-
-@dataclass(frozen=True)
-class RoutingEntry:
-    """One post-resampling replica: parent lineage, its current worker,
-    the worker it will live on, and its reassigned identity (used for
-    post-routing reseeding)."""
-
-    lineage_id: int
-    source: int
-    destination: int
-    new_lineage_id: int
+__all__ = ["Routing", "compute_routing", "traffic_metrics"]
 
 
 class Routing:
     """Placement of a resampled ensemble: one row per replica.
 
-    Three read-only integer arrays indexed by the replica's new lineage
-    id hold its parent lineage, the parent's current worker (``source``)
-    and the worker it will live on (``destination``). ``W_max`` bounds
-    every worker's load. ``Routing(entries, W_max)`` builds one from
-    RoutingEntry records in any order; ``entries`` gives them back in new
-    lineage id order.
+    Row i is the replica with new lineage id i: ``lineage[i]`` is its
+    parent lineage, ``source[i]`` the parent's current worker and
+    ``destination[i]`` the worker it will live on. The constructor takes
+    ownership of the three 1-D integer arrays and makes them read-only.
+    ``W_max`` bounds every worker's load.
     """
 
     __slots__ = ("lineage", "source", "destination", "W_max")
 
-    def __init__(self, entries, W_max: int):
-        ordered = sorted(entries, key=lambda e: e.new_lineage_id)
-        if [e.new_lineage_id for e in ordered] != list(range(len(ordered))):
-            raise ValidationError("new_lineage_id values must cover 0..p-1 exactly once")
-        self._set(*(np.array([getattr(e, name) for e in ordered], dtype=np.int64)
-                    for name in ("lineage_id", "source", "destination")), W_max)
-
-    @classmethod
-    def _from_arrays(cls, lineage: np.ndarray, source: np.ndarray, destination: np.ndarray,
-                     W_max: int) -> "Routing":
-        """Routing whose row i is the replica with new lineage id i; takes
-        ownership of the arrays and makes them read-only."""
-        routing = cls.__new__(cls)
-        routing._set(lineage, source, destination, W_max)
-        return routing
-
-    def _set(self, lineage, source, destination, W_max) -> None:
+    def __init__(self, lineage: np.ndarray, source: np.ndarray, destination: np.ndarray, W_max: int):
         if lineage.size == 0:
             raise ValidationError("routing must contain at least one entry")
         if W_max < 1:
@@ -92,24 +48,12 @@ class Routing:
         self.lineage, self.source, self.destination = lineage, source, destination
         self.W_max = int(W_max)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Routing):
-            return NotImplemented
-        return self.W_max == other.W_max and all(
-            np.array_equal(a, b) for a, b in ((self.lineage, other.lineage), (self.source, other.source),
-                                              (self.destination, other.destination)))
-
     def __repr__(self) -> str:
         return f"Routing(p={self.ensemble_size}, W_max={self.W_max})"
 
     @property
     def ensemble_size(self) -> int:
         return self.lineage.size
-
-    @property
-    def entries(self) -> tuple:
-        """RoutingEntry records in new lineage id order."""
-        return tuple(RoutingEntry(*row) for row in self.slice_table().tolist())
 
     def slice_table(self, worker: int | None = None) -> np.ndarray:
         """Rows (lineage_id, source, destination, new_lineage_id) as an (m, 4)
@@ -122,36 +66,13 @@ class Routing:
             return table
         return table[(self.source == worker) | (self.destination == worker)]
 
-    def slice_for(self, worker: int) -> tuple:
-        """Entries a worker participates in, as sender or receiver."""
-        return tuple(RoutingEntry(*row) for row in self.slice_table(worker).tolist())
-
-
-def _worker_of(locations, p: int, W: int) -> np.ndarray:
-    """Current worker of every lineage, indexed by lineage id."""
-    if isinstance(locations, np.ndarray):
-        if locations.shape != (p,) or locations.dtype.kind not in "iu":
-            raise ValidationError(f"expected a 1-D integer array of {p} workers, got shape {locations.shape}")
-        if p and (locations.min() < 0 or locations.max() >= W):
-            raise ValidationError(f"locations name workers outside 0..{W - 1}")
-        return locations.astype(np.int64)
-    if len(locations) != p:
-        raise ValidationError(f"expected {p} locations, got {len(locations)}")
-    worker_of = np.full(p, -1, dtype=np.int64)
-    for loc in locations:
-        if not 0 <= loc.worker < W:
-            raise ValidationError(f"location of particle {loc.lineage_id} names invalid worker {loc.worker}")
-        if 0 <= loc.lineage_id < p:
-            worker_of[loc.lineage_id] = loc.worker
-    if sorted(loc.lineage_id for loc in locations) != list(range(p)):
-        raise ValidationError("locations must cover lineage ids 0..p-1 exactly once")
-    return worker_of
-
 
 def _validate_counts(counts: Sequence[int], W: int) -> np.ndarray:
     c = np.asarray(counts)
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("counts must be a nonempty 1-D vector")
+    if c.dtype.kind not in "iu":
+        raise ValidationError(f"counts must be integers, got dtype {c.dtype}")
     if np.any(c < 0):
         raise ValidationError("counts must be >= 0")
     p = c.size
@@ -162,12 +83,21 @@ def _validate_counts(counts: Sequence[int], W: int) -> np.ndarray:
     return c.astype(np.int64)
 
 
-def compute_routing(counts: Sequence[int], locations, W: int) -> Routing:
+def _validate_workers(worker_of: np.ndarray, p: int, W: int) -> np.ndarray:
+    held = np.asarray(worker_of)
+    if held.shape != (p,) or held.dtype.kind not in "iu":
+        raise ValidationError(f"expected a 1-D integer array of {p} workers, "
+                              f"got shape {held.shape}, dtype {held.dtype}")
+    if held.min() < 0 or held.max() >= W:
+        raise ValidationError(f"worker_of names workers outside 0..{W - 1}")
+    return held.astype(np.int64)
+
+
+def compute_routing(counts: Sequence[int], worker_of: np.ndarray, W: int) -> Routing:
     """Two-stage greedy placement of the resampled ensemble.
 
-    ``locations`` gives every lineage's current worker, either as
-    ParticleLocation records in any order or as an integer array indexed
-    by lineage id.
+    ``counts`` holds every lineage's integer replica count and
+    ``worker_of`` its current worker, both indexed by lineage id.
 
     Stage 1 walks workers in ascending rank and their resident particles
     in ascending lineage id, keeping as many replicas local as capacity
@@ -180,7 +110,7 @@ def compute_routing(counts: Sequence[int], locations, W: int) -> Routing:
     """
     c = _validate_counts(counts, W)
     p = c.size
-    worker_of = _worker_of(locations, p, W)
+    worker_of = _validate_workers(worker_of, p, W)
     w_max = math.ceil(p / W)
 
     # stage 1: a resident keeps min(count, capacity left after the
@@ -214,7 +144,7 @@ def compute_routing(counts: Sequence[int], locations, W: int) -> Routing:
     k = np.concatenate((kept[local], extra[:, 2]))
     order = np.lexsort((dest, lin))
     lineage = np.repeat(lin[order], k[order])
-    return Routing._from_arrays(lineage, worker_of[lineage], np.repeat(dest[order], k[order]), w_max)
+    return Routing(lineage, worker_of[lineage], np.repeat(dest[order], k[order]), w_max)
 
 
 def traffic_metrics(routing: Routing) -> tuple[float, float]:

@@ -3,8 +3,8 @@
 Every message crossing a channel is a versioned, byte-serialized payload,
 so the in-process queue transport used here could be swapped for a
 socket- or process-based one without touching the protocol logic. Sends
-never block; receives support polling, timeouts, and an optional
-artificial delivery delay used by tests to force transfer latency.
+never block; receives support timeouts and an optional artificial
+delivery delay used by tests to force transfer latency.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from .core import Parameters, SerializationError
-from .instrumentation import StageTiming
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -168,11 +167,3 @@ class Channel:
         if wait > 0:
             time.sleep(wait)
         return decode_message(payload)
-
-    def poll(self) -> bool:
-        """True when a message is already deliverable."""
-        with self._q.mutex:
-            if not self._q.queue:
-                return False
-            ready_at, _ = self._q.queue[0]
-        return ready_at <= time.monotonic()

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import record_criterion
 from pmcmc.cli import main
 from pmcmc.core import ObservationSeries, Parameters
-from pmcmc.executor import run_particle_filter, worker_lineages
+from pmcmc.executor import run_particle_filter
 from pmcmc.filtering import resample_multinomial
 from pmcmc.models import (
     DelayModel,
@@ -24,7 +24,7 @@ from pmcmc.models import (
     kalman_log_marginal,
     synthesize_linear_gaussian,
 )
-from pmcmc.routing import ParticleLocation, compute_routing, traffic_metrics
+from pmcmc.routing import compute_routing, traffic_metrics
 from pmcmc.sampler import (
     Evaluation,
     LogNormalPrior,
@@ -141,9 +141,6 @@ class TestAcceptanceCriteria:
             # in which no worker appears more than w_max times
             pool = np.repeat(np.arange(W), w_max)[:p]
             rng.shuffle(pool)
-            locations = tuple(
-                ParticleLocation(lineage, int(pool[lineage])) for lineage in range(p)
-            )
             identity = instance % 4 == 0
             if identity:
                 counts = np.ones(p, dtype=int)
@@ -151,21 +148,18 @@ class TestAcceptanceCriteria:
                 weights = rng.dirichlet(np.ones(p))
                 counts = rng.multinomial(p, weights)
 
-            routing = compute_routing(tuple(int(c) for c in counts), locations, W)
+            routing = compute_routing(tuple(int(c) for c in counts), pool, W)
             move_fraction, _ = traffic_metrics(routing)
 
-            if len(routing.entries) != p:
+            if routing.ensemble_size != p:
                 failures.append((instance, "coverage"))
-            loads = {}
-            for entry in routing.entries:
-                loads[entry.destination] = loads.get(entry.destination, 0) + 1
-            if any(load > w_max for load in loads.values()):
+            loads = np.bincount(routing.destination, minlength=W)
+            if loads.max() > w_max:
                 failures.append((instance, "capacity"))
-            shipping = {e.source for e in routing.entries if e.source != e.destination}
-            if any(loads.get(worker, 0) != w_max for worker in shipping):
+            moved = routing.source != routing.destination
+            if np.any(loads[routing.source[moved]] != w_max):
                 failures.append((instance, "local-priority"))
-            if identity and (move_fraction != 0.0
-                             or any(e.source != e.destination for e in routing.entries)):
+            if identity and (move_fraction != 0.0 or moved.any()):
                 failures.append((instance, "identity-moves"))
         elapsed = time.perf_counter() - started
 

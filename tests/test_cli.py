@@ -13,14 +13,7 @@ from pmcmc.cli import (
     write_diagnostics_csv,
     write_observations,
 )
-from pmcmc.config import (
-    CONFIG_VERSION,
-    Schedule,
-    config_from_mapping,
-    config_to_mapping,
-    load_config,
-    save_config,
-)
+from pmcmc.config import Schedule, load_config
 from pmcmc.core import ObservationSeries, Parameters, ValidationError
 from pmcmc.models import LinearGaussianModel, synthesize_linear_gaussian
 from pmcmc.sampler import (
@@ -114,20 +107,6 @@ class TestConfigLoading:
         prior = config.make_prior()
         assert prior.log_density(Parameters({"a": 0.0})) == -math.log(2.0)
 
-    def test_round_trip(self, tmp_path):
-        config = load_config(_write_config(tmp_path, _DESK_YAML))
-        saved = tmp_path / "copy.yaml"
-        save_config(config, saved)
-        again = load_config(saved)
-        assert again == config
-
-    def test_mapping_round_trip(self, tmp_path):
-        config = load_config(_write_config(tmp_path, _LG_YAML))
-        mapping = config_to_mapping(config)
-        assert mapping["config_version"] == CONFIG_VERSION
-        rebuilt = config_from_mapping(mapping, base_dir=tmp_path)
-        assert rebuilt == config
-
     def test_field_identified_errors(self, tmp_path):
         cases = [
             ("config_version: 1\n", "model"),
@@ -195,6 +174,13 @@ class TestObservationIO:
         path.write_text("")
         with pytest.raises(ValidationError, match="empty"):
             read_observations(path, "predator_prey")
+
+    def test_non_finite_time_rejected(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        for text in ("nan", "inf", "-inf"):
+            path.write_text(f"time,prey,predator\n1,5,2\n{text},5,2\n")
+            with pytest.raises(ValidationError, match=r"line 3, field 'time': not a finite number"):
+                read_observations(path, "predator_prey")
 
 
 def _tiny_chain():

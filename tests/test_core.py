@@ -5,8 +5,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pmcmc.core import (
     MODEL_STREAM,
@@ -17,7 +15,6 @@ from pmcmc.core import (
     EngineError,
     ObservationSeries,
     Parameters,
-    ParameterSpace,
     ProtocolError,
     SeedKey,
     SerializationError,
@@ -192,30 +189,6 @@ class TestParameters:
         theta = Parameters({"a": 0.5, "K": 24.75})
         assert pickle.loads(pickle.dumps(theta)) == theta
 
-    @given(st.dictionaries(
-        st.text(alphabet="abcdefgh_", min_size=1, max_size=8),
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
-        min_size=1, max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_text_round_trip(self, entries):
-        theta = Parameters(entries)
-        again = Parameters.from_text(theta.to_text())
-        assert again == theta
-        assert again.names == theta.names
-
-
-class TestParameterSpace:
-    def test_contains_and_validation(self):
-        space = ParameterSpace(("a", "K"), {"a": (-1.0, 1.0), "K": (0.0, 100.0)})
-        assert space.contains(Parameters({"a": 0.5, "K": 10.0}))
-        assert not space.contains(Parameters({"a": 1.5, "K": 10.0}))
-        with pytest.raises(ValidationError):
-            space.validate(Parameters({"a": 0.5}))   # K missing
-        with pytest.raises(ValidationError):
-            ParameterSpace(("a",), {"a": (1.0, -1.0)})
-        with pytest.raises(ValidationError):
-            ParameterSpace(("a", "a"), {"a": (0.0, 1.0)})
-
 
 class TestObservationSeries:
     def test_shape_and_iteration(self):
@@ -237,6 +210,15 @@ class TestObservationSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ObservationSeries([1, 2], [{}])
+
+    def test_non_finite_times_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                ObservationSeries([1.0, bad], [{}, {}])
+            with pytest.raises(ValidationError, match="finite"):
+                ObservationSeries([bad], [{}])
+        with pytest.raises(ValidationError, match="finite"):
+            ObservationSeries(["1"], [{}])
 
 
 class TestErrors:

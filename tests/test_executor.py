@@ -182,7 +182,7 @@ class TestDiagnostics:
 class TestFailurePropagation:
     def test_model_exception_carries_rank_and_step(self):
         class ExplodingModel(LinearGaussianModel):
-            def run(self, target_time, seed=None):
+            def run(self, target_time):
                 raise RuntimeError("numerical blowup")
 
         with pytest.raises(ProtocolError) as info:
@@ -222,9 +222,8 @@ class TestFailurePropagation:
 def _runtime(rank, p, W, timeout=0.2):
     commands, reports = Channel(), Channel()
     inboxes = {w: Channel() for w in range(W)}
-    rt = _WorkerRuntime(rank, LinearGaussianModel, 0, commands, reports,
-                        inboxes[rank], inboxes, timeout)
-    rt.my_lineages = worker_lineages(rank, p, W)
+    rt = _WorkerRuntime(rank, worker_lineages(rank, p, W), LinearGaussianModel, 0, commands,
+                        reports, inboxes[rank], inboxes, timeout)
     rt._initialize(Broadcast(0, _THETA))
     return rt
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pmcmc.core import DegenerateEnsembleError, ValidationError
 from pmcmc.filtering import (
-    estimate_marginal,
     estimate_marginal_from_log,
     normalize_weights,
     redraw_rate,
@@ -136,15 +135,20 @@ class TestRedrawRate:
             redraw_rate([1, -1])
 
 
+def _log(rows):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(rows, dtype=np.float64))
+
+
 class TestMarginalEstimate:
     def test_single_event_uniform(self):
-        est = estimate_marginal([[0.5, 0.5]])
+        est = estimate_marginal_from_log(_log([[0.5, 0.5]]))
         assert est.log_value == pytest.approx(math.log(0.5), rel=1e-15)
         assert est.log_std == 0.0
         assert est.per_observation_means[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_two_event_product(self):
-        est = estimate_marginal([[0.2, 0.4], [0.1, 0.3]])
+        est = estimate_marginal_from_log(_log([[0.2, 0.4], [0.1, 0.3]]))
         assert est.log_value == pytest.approx(math.log(0.3 * 0.2), rel=1e-12)
         assert est.per_observation_means == pytest.approx((0.3, 0.2), rel=1e-15)
 
@@ -154,20 +158,21 @@ class TestMarginalEstimate:
         expected = 0.0
         for row in rows:
             expected += row.var(ddof=1) / (row.size * row.mean() ** 2)
-        est = estimate_marginal(rows)
+        est = estimate_marginal_from_log(_log(rows))
         assert est.log_std == pytest.approx(math.sqrt(expected), rel=1e-12)
 
     def test_single_particle_exact(self):
-        est = estimate_marginal([[0.7], [0.2]])
+        est = estimate_marginal_from_log(_log([[0.7], [0.2]]))
         assert est.log_value == pytest.approx(math.log(0.14), rel=1e-12)
         assert est.log_std == 0.0
 
     def test_log_entry_point_matches_linear(self):
-        rows = [[0.2, 0.4], [0.1, 0.3]]
-        a = estimate_marginal(rows)
-        b = estimate_marginal_from_log(np.log(rows))
-        assert b.log_value == pytest.approx(a.log_value, rel=1e-14)
-        assert b.log_std == pytest.approx(a.log_std, rel=1e-14)
+        # the per-event means and variances are reported in linear space
+        rows = np.array([[0.2, 0.4], [0.1, 0.3]])
+        est = estimate_marginal_from_log(np.log(rows))
+        assert est.log_value == pytest.approx(math.log(np.prod(rows.mean(axis=1))), rel=1e-14)
+        assert est.per_observation_means == pytest.approx(tuple(rows.mean(axis=1)), rel=1e-14)
+        assert est.per_observation_variances == pytest.approx(tuple(rows.var(axis=1, ddof=1)), rel=1e-12)
 
     def test_shift_robustness_under_extreme_magnitudes(self):
         # the same relative weights shifted by -1000 nats per event must
@@ -182,18 +187,18 @@ class TestMarginalEstimate:
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(5)
         rows = rng.random((4, 16))
-        est0 = estimate_marginal(rows)
-        est1 = estimate_marginal(rows[:, rng.permutation(16)])
+        est0 = estimate_marginal_from_log(_log(rows))
+        est1 = estimate_marginal_from_log(_log(rows[:, rng.permutation(16)]))
         assert est1.log_value == pytest.approx(est0.log_value, rel=1e-13)
         assert est1.log_std == pytest.approx(est0.log_std, rel=1e-13)
 
     def test_zero_variance_rows(self):
-        est = estimate_marginal(np.full((3, 8), 0.25))
+        est = estimate_marginal_from_log(_log(np.full((3, 8), 0.25)))
         assert est.log_value == pytest.approx(3 * math.log(0.25), rel=1e-14)
         assert est.log_std == 0.0
 
     def test_degenerate_row_flagged(self):
-        est = estimate_marginal([[0.5, 0.5], [0.0, 0.0], [0.1, 0.1], [0.0, 0.0]])
+        est = estimate_marginal_from_log(_log([[0.5, 0.5], [0.0, 0.0], [0.1, 0.1], [0.0, 0.0]]))
         assert est.degenerate
         assert est.degenerate_observations == (1, 3)
         assert est.log_value == -math.inf
@@ -211,8 +216,6 @@ class TestMarginalEstimate:
         with pytest.raises(ValidationError):
             estimate_marginal_from_log([[0.0, math.inf]])
         with pytest.raises(ValidationError):
-            estimate_marginal([[0.5, -0.1]])
-        with pytest.raises(ValidationError):
             estimate_marginal_from_log([])
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12),
@@ -220,5 +223,5 @@ class TestMarginalEstimate:
     @settings(max_examples=100, deadline=None)
     def test_log_value_matches_direct_product(self, n, p, seed):
         rows = np.random.default_rng(seed).random((n, p)) + 1e-3
-        est = estimate_marginal(rows)
+        est = estimate_marginal_from_log(_log(rows))
         assert est.log_value == pytest.approx(float(np.sum(np.log(rows.mean(axis=1)))), rel=1e-10)

@@ -107,6 +107,17 @@ class TestEfficiency:
         assert record.efficiency == pytest.approx(0.5)
         assert "transfer-wait" not in MAIN_STAGES and "init-sync" not in MAIN_STAGES
 
+    def test_master_gather_is_not_work(self):
+        # the master's likelihood-gather spans the workers' run and observe;
+        # counting it too would double the busy time
+        timings = [
+            StageTiming("run", 0, 1, 1, 0.4),
+            StageTiming("likelihood-gather", -1, 1, 1, 0.5),
+        ]
+        record = compute_efficiency(timings, 1, workers=1, wall_time=1.0)
+        assert record.efficiency == pytest.approx(0.4)
+        assert "likelihood-gather" not in MAIN_STAGES
+
     def test_other_samples_excluded(self):
         timings = [StageTiming("run", 0, 1, 1, 0.5), StageTiming("run", 0, 2, 1, 0.5)]
         record = compute_efficiency(timings, 1, workers=2, wall_time=1.0)

@@ -7,24 +7,16 @@ import pytest
 
 from pmcmc.core import ValidationError
 from pmcmc.executor import worker_lineages
-from pmcmc.routing import (
-    ParticleLocation,
-    Routing,
-    RoutingEntry,
-    compute_routing,
-    traffic_metrics,
-)
+from pmcmc.routing import Routing, compute_routing, traffic_metrics
 
 
-def _balanced_locations(p, W):
-    return [ParticleLocation(lin, w) for w in range(W) for lin in worker_lineages(w, p, W)]
+def _balanced(p, W):
+    """Worker of every lineage under the executor's initial partition."""
+    return np.array([w for w in range(W) for _ in worker_lineages(w, p, W)])
 
 
 def _loads(routing, W):
-    loads = [0] * W
-    for e in routing.entries:
-        loads[e.destination] += 1
-    return loads
+    return np.bincount(routing.destination, minlength=W).tolist()
 
 
 class TestHandTrace:
@@ -33,12 +25,13 @@ class TestHandTrace:
         replicas, every other worker receives one transfer and replicates
         it once. Three distinct transfers for eight placements."""
         counts = [8, 0, 0, 0, 0, 0, 0, 0]
-        routing = compute_routing(counts, _balanced_locations(8, 4), 4)
+        routing = compute_routing(counts, _balanced(8, 4), 4)
         assert routing.W_max == 2
         assert _loads(routing, 4) == [2, 2, 2, 2]
-        assert all(e.lineage_id == 0 and e.source == 0 for e in routing.entries)
-        assert sorted(e.new_lineage_id for e in routing.entries) == list(range(8))
-        cross = {(e.lineage_id, e.destination) for e in routing.entries if e.destination != e.source}
+        assert np.all(routing.lineage == 0) and np.all(routing.source == 0)
+        assert routing.ensemble_size == 8
+        moved = routing.destination != routing.source
+        cross = set(zip(routing.lineage[moved].tolist(), routing.destination[moved].tolist()))
         assert len(cross) == 3
         move, copy = traffic_metrics(routing)
         assert move == pytest.approx(3 / 8)
@@ -48,16 +41,15 @@ class TestHandTrace:
         # every particle survives once: nothing moves, nothing is copied,
         # and identity renumbering keeps each lineage id
         counts = [1] * 8
-        routing = compute_routing(counts, _balanced_locations(8, 4), 4)
-        for e in routing.entries:
-            assert e.destination == e.source
-            assert e.new_lineage_id == e.lineage_id
+        routing = compute_routing(counts, _balanced(8, 4), 4)
+        assert np.array_equal(routing.destination, routing.source)
+        assert np.array_equal(routing.lineage, np.arange(8))
         assert traffic_metrics(routing) == (0.0, 0.0)
 
     def test_single_worker_point_mass(self):
         # one worker: no moves possible, p-1 copies
         counts = [4, 0, 0, 0]
-        routing = compute_routing(counts, _balanced_locations(4, 1), 1)
+        routing = compute_routing(counts, _balanced(4, 1), 1)
         move, copy = traffic_metrics(routing)
         assert move == 0.0
         assert copy == pytest.approx(3 / 4)
@@ -65,34 +57,28 @@ class TestHandTrace:
     def test_replicas_can_split_across_workers(self):
         # 3 survivors of lineage 0 on a 2-worker, p=3 layout: capacity 2
         # keeps two local, the third goes to the other worker
-        locations = [ParticleLocation(0, 0), ParticleLocation(1, 0), ParticleLocation(2, 1)]
-        routing = compute_routing([3, 0, 0], locations, 2)
-        dests = sorted(e.destination for e in routing.entries)
-        assert dests == [0, 0, 1]
-        assert {e.lineage_id for e in routing.entries} == {0}
+        routing = compute_routing([3, 0, 0], np.array([0, 0, 1]), 2)
+        assert sorted(routing.destination.tolist()) == [0, 0, 1]
+        assert set(routing.lineage.tolist()) == {0}
 
     def test_nearest_worker_tie_goes_low(self):
         # survivor sits on worker 1 of 3 with one spare slot on 0 and 2:
         # equal distance, the tie must resolve to worker 0
-        locations = [ParticleLocation(0, 0), ParticleLocation(1, 1), ParticleLocation(2, 2)]
-        routing = compute_routing([0, 3, 0], locations, 3)
-        dests = sorted(e.destination for e in routing.entries)
-        assert dests == [0, 1, 2]
-        overflow = [e for e in routing.entries if e.destination != 1]
-        assert {e.destination for e in overflow} == {0, 2}
+        routing = compute_routing([0, 3, 0], np.array([0, 1, 2]), 3)
+        assert sorted(routing.destination.tolist()) == [0, 1, 2]
+        assert set(routing.destination[routing.destination != 1].tolist()) == {0, 2}
 
     def test_new_ids_follow_lineage_destination_order(self):
         counts = [2, 0, 2, 0]
-        routing = compute_routing(counts, _balanced_locations(4, 2), 2)
-        ordered = sorted(routing.entries, key=lambda e: e.new_lineage_id)
-        keys = [(e.lineage_id, e.destination) for e in ordered]
+        routing = compute_routing(counts, _balanced(4, 2), 2)
+        keys = list(zip(routing.lineage.tolist(), routing.destination.tolist()))   # new id order
         assert keys == sorted(keys)
 
     def test_deterministic(self):
         counts = [0, 3, 1, 0, 2, 0, 1, 1]
-        a = compute_routing(counts, _balanced_locations(8, 3), 3)
-        b = compute_routing(counts, _balanced_locations(8, 3), 3)
-        assert a == b
+        a = compute_routing(counts, _balanced(8, 3), 3)
+        b = compute_routing(counts, _balanced(8, 3), 3)
+        assert np.array_equal(a.slice_table(), b.slice_table()) and a.W_max == b.W_max
 
 
 class TestLocalPriority:
@@ -100,54 +86,59 @@ class TestLocalPriority:
         # worker 0 holds lineages 0,1 with counts 1,1: both stay even
         # though worker 1 has spare capacity
         counts = [1, 1, 2, 0]
-        routing = compute_routing(counts, _balanced_locations(4, 2), 2)
-        for e in routing.entries:
-            if e.lineage_id in (0, 1):
-                assert e.destination == 0
+        routing = compute_routing(counts, _balanced(4, 2), 2)
+        assert np.all(routing.destination[routing.lineage <= 1] == 0)
 
     def test_only_overflow_leaves(self):
         # lineage 0 survives 3 times on a full worker of capacity 2:
         # exactly one replica leaves
         counts = [3, 1, 0, 0]
-        routing = compute_routing(counts, _balanced_locations(4, 2), 2)
-        offsite = [e for e in routing.entries if e.lineage_id == 0 and e.destination != 0]
-        assert len(offsite) == 1 and offsite[0].destination == 1
+        routing = compute_routing(counts, _balanced(4, 2), 2)
+        offsite = routing.destination[(routing.lineage == 0) & (routing.destination != 0)]
+        assert offsite.tolist() == [1]
 
 
 class TestRoutingContainer:
     def test_slice_for(self):
-        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced_locations(8, 4), 4)
-        for w in range(4):
-            for e in routing.slice_for(w):
-                assert e.source == w or e.destination == w
-        # worker 3 sees only its incoming transfer entries
-        assert all(e.destination == 3 for e in routing.slice_for(3))
+        # the slice for worker 3 holds only its incoming transfer entries
+        # (test_slices_partition_by_worker checks every worker's slice)
+        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
+        table = routing.slice_table(3)
+        assert len(table) == 2 and np.all(table[:, 2] == 3) and np.all(table[:, 1] == 0)
 
     def test_container_validation(self):
-        good = RoutingEntry(0, 0, 0, 0)
+        def column(*values):
+            return np.array(values, dtype=np.int64)
+
         with pytest.raises(ValidationError):
-            Routing((), 1)
+            Routing(column(), column(), column(), 1)                   # empty
         with pytest.raises(ValidationError):
-            Routing((good, RoutingEntry(0, 0, 0, 0)), 2)       # duplicate new id
+            Routing(column(0, 0), column(0), column(0, 0), 2)          # ragged columns
         with pytest.raises(ValidationError):
-            Routing((good, RoutingEntry(0, 0, 0, 1)), 1)       # load 2 > W_max 1
+            Routing(column(0, 0), column(0, 0), column(0, 0), 1)       # load 2 > W_max 1
         with pytest.raises(ValidationError):
-            Routing((good,), 0)
+            Routing(column(0), column(0), column(-1), 1)               # negative worker
+        with pytest.raises(ValidationError):
+            Routing(column(0), column(0), column(0), 0)
+        routing = Routing(column(0), column(0), column(0), 1)
+        with pytest.raises(ValueError):
+            routing.destination[0] = 1                                  # read-only
 
     def test_input_validation(self):
-        locs = _balanced_locations(4, 2)
+        held = _balanced(4, 2)
         with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1], locs, 2)                # counts do not sum to p
+            compute_routing([1, 1, 1], held, 2)                # counts do not sum to p
         with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1, -1], locs, 2)
+            compute_routing([1, 1, 1, -1], held, 2)
         with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1, 1], locs, 0)
+            compute_routing([1, 1, 1, 1], held, 0)
         with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1, 1], locs[:3], 2)
+            compute_routing([1, 1, 1, 1], held[:3], 2)
         with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1, 1], [ParticleLocation(i, 9) for i in range(4)], 2)
-        with pytest.raises(ValidationError):
-            compute_routing([1, 1, 1, 1], [ParticleLocation(0, 0)] * 4, 2)
+            compute_routing([1, 1, 1, 1], np.full(4, 9), 2)
+        for counts in ([1.5, 0.5], [1.0, 1.0], [True, True]):
+            with pytest.raises(ValidationError, match="integers"):
+                compute_routing(counts, np.array([0, 0]), 1)   # would truncate silently
 
 
 class TestRandomBattery:
@@ -160,23 +151,16 @@ class TestRandomBattery:
             p = int(rng.integers(1, 65))
             W = int(rng.integers(1, 17))
             workers = rng.integers(0, W, size=p)
-            locations = [ParticleLocation(i, int(workers[i])) for i in range(p)]
             probs = rng.dirichlet(np.ones(p))
             counts = rng.multinomial(p, probs)
-            routing = compute_routing(counts, locations, W)
+            routing = compute_routing(counts, workers, W)
 
-            assert len(routing.entries) == p
-            assert sorted(e.new_lineage_id for e in routing.entries) == list(range(p))
+            assert routing.ensemble_size == p
             assert routing.W_max == math.ceil(p / W)
             loads = _loads(routing, W)
-            assert max(loads) <= routing.W_max
-            per_lineage = {}
-            for e in routing.entries:
-                per_lineage[e.lineage_id] = per_lineage.get(e.lineage_id, 0) + 1
-                assert e.source == int(workers[e.lineage_id])
-                assert 0 <= e.destination < W
-            for lin in range(p):
-                assert per_lineage.get(lin, 0) == int(counts[lin])
+            assert len(loads) == W and max(loads) <= routing.W_max
+            assert np.array_equal(routing.source, workers[routing.lineage])
+            assert np.array_equal(np.bincount(routing.lineage, minlength=p), counts)
             move, copy = traffic_metrics(routing)
             assert 0.0 <= move <= 1.0 and 0.0 <= copy <= 1.0
 
@@ -187,19 +171,19 @@ class TestRandomBattery:
         for _ in range(100):
             p = int(rng.integers(1, 65))
             W = int(rng.integers(1, 17))
-            routing = compute_routing([1] * p, _balanced_locations(p, W), W)
-            assert all(e.destination == e.source for e in routing.entries)
-            assert all(e.new_lineage_id == e.lineage_id for e in routing.entries)
+            routing = compute_routing([1] * p, _balanced(p, W), W)
+            assert np.array_equal(routing.destination, routing.source)
+            assert np.array_equal(routing.lineage, np.arange(p))
             assert traffic_metrics(routing) == (0.0, 0.0)
 
 
-def _sequential_reference(counts, locations, W):
+def _sequential_reference(counts, source_of, W):
     """The greedy placement written out particle by particle, as the
-    compute_routing docstring states it: (lineage, source, destination,
-    new id) rows in new id order."""
+    compute_routing docstring states it, from a lineage -> worker map in
+    any order: (lineage, source, destination, new id) rows in new id
+    order."""
     p = len(counts)
     w_max = math.ceil(p / W)
-    source_of = {loc.lineage_id: loc.worker for loc in locations}
     remaining = [int(c) for c in counts]
     capacity = [w_max] * W
     placements = []
@@ -235,18 +219,15 @@ class TestArrayPlacement:
                 workers = rng.integers(0, W, size=p)
             else:
                 workers = np.array([w for w in range(W) for _ in worker_lineages(w, p, W)])
-            locations = [ParticleLocation(int(i), int(workers[i])) for i in rng.permutation(p)]
+            source_of = {int(i): int(workers[i]) for i in rng.permutation(p)}
             if trial % 3 == 0:
                 counts = np.zeros(p, dtype=int)
                 counts[int(rng.integers(p))] = p
             else:
                 counts = rng.multinomial(p, rng.dirichlet(np.full(p, rng.choice([0.1, 1.0, 10.0]))))
-            expected = _sequential_reference(counts, locations, W)
-            routing = compute_routing(counts, locations, W)
+            expected = _sequential_reference(counts, source_of, W)
+            routing = compute_routing(counts, workers, W)
             assert [tuple(e) for e in routing.slice_table().tolist()] == expected
-            assert [(e.lineage_id, e.source, e.destination, e.new_lineage_id)
-                    for e in routing.entries] == expected
-            assert compute_routing(counts, workers, W) == routing
 
     def test_array_locations_validated(self):
         with pytest.raises(ValidationError):
@@ -257,10 +238,9 @@ class TestArrayPlacement:
             compute_routing([1, 1], np.array([0.0, 1.0]), 2)   # not integers
 
     def test_slices_partition_by_worker(self):
-        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced_locations(8, 4), 4)
+        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
+        full = routing.slice_table()
         for w in range(4):
             table = routing.slice_table(w)
-            assert table.shape[1] == 4
-            assert [tuple(row) for row in table.tolist()] == [
-                (e.lineage_id, e.source, e.destination, e.new_lineage_id) for e in routing.slice_for(w)]
-            assert np.all((table[:, 1] == w) | (table[:, 2] == w))
+            assert table.shape[1] == 4 and table.dtype == np.int32
+            assert np.array_equal(table, full[(full[:, 1] == w) | (full[:, 2] == w)])
