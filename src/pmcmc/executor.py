@@ -1,7 +1,7 @@
 """Master-worker particle filter runtime.
 
-One coordinating thread drives W worker threads through the filtering
-pass over an observation series:
+The caller's thread is the master. It drives W workers through the
+filtering pass over an observation series:
 
 1.  broadcast the parameter vector
 2.  workers initialize their share of the ensemble, each particle on its
@@ -29,6 +29,16 @@ Every random stream involved is derived from (chain, sample, observation,
 lineage, purpose) alone, so the estimate is invariant to the number of
 workers: weights are gathered by lineage id and replica identities are
 assigned by the deterministic routing, never by arrival order.
+
+A single worker is a thread of the calling process. Two or more are
+processes forked for the pass, so CPU-bound models run in parallel
+rather than taking turns on the interpreter lock; where the platform has
+no ``fork`` start method they are threads too. Either way they run the
+same worker state machine over the same byte channels. When the pass
+fails, on a worker's error report, a timeout or an exception on the
+master, every worker is told to exit, and any still running after
+``_STOP_BOUND`` seconds is terminated (a thread cannot be, and is left to
+finish its current command).
 """
 
 from __future__ import annotations
@@ -80,6 +90,13 @@ __all__ = ["DEFAULT_TIMEOUT", "FilterDiagnostics", "FilterResult", "run_particle
 
 DEFAULT_TIMEOUT = 120.0
 
+# Seconds a pass waits for its workers to stop before terminating them; a
+# stuck worker's error then still surfaces within a second of its timeout.
+_STOP_BOUND = 0.5
+
+# Longest wait on the report channel between checks for a dead worker.
+_POLL_INTERVAL = 0.1
+
 
 def worker_lineages(rank: int, ensemble_size: int, workers: int) -> range:
     """Contiguous, nearly equal lineage partition assigned to a worker."""
@@ -113,7 +130,7 @@ class FilterResult:
 
 
 class _WorkerRuntime:
-    """State machine run by one worker thread."""
+    """State machine run by one worker thread or process."""
 
     def __init__(
         self,
@@ -152,7 +169,10 @@ class _WorkerRuntime:
         try:
             while True:
                 try:
-                    command = self.commands.recv(self.timeout)
+                    # the master may wait ``timeout`` on a slower peer before
+                    # it sends on or aborts; an idle worker allows twice
+                    # that, so a stuck peer is never blamed on this rank
+                    command = self.commands.recv(2 * self.timeout)
                 except queue.Empty:
                     raise ProtocolError("timed out waiting for a command", rank=self.rank, step=step)
                 if self._init_done_at is not None:
@@ -326,7 +346,7 @@ class _WorkerRuntime:
         t0 = perf_counter()
         self.particles = {}
         self.pending.append(StageTiming("exit", self.rank, self.sample_index, 0, perf_counter() - t0))
-        self.reports.send(ExitReport(self.rank, self._flush_timings()))
+        self.reports.send(ExitReport(self.rank, self._flush_timings(), tuple(self.marks)))
 
     # -- helpers --------------------------------------------------------
 
@@ -345,6 +365,54 @@ def _group(rows: np.ndarray, *key_columns: int) -> dict:
     return groups
 
 
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where there is none."""
+    # imported here: multiprocessing and its queues cost about 8 ms to import,
+    # which single-worker passes and the CLI's start-up would pay for nothing
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _run_forked(runtime: _WorkerRuntime) -> None:
+    """Worker process body: run the state machine, then exit without
+    waiting on peers that may never read what was sent them. Reports are
+    flushed, the master reads them until the pass ends."""
+    try:
+        runtime.run()
+    finally:
+        for channel in runtime.peers.values():
+            channel.abandon()
+        runtime.reports.close()
+
+
+def _stop(started: list, commands: list, channels: list, abort: bool) -> None:
+    """End the pass's workers within ``_STOP_BOUND`` and release the channels.
+
+    On an abort every worker is told to exit; a process still alive at the
+    bound is terminated.
+    """
+    if abort:
+        for channel in commands:
+            channel.send(ExitCommand())
+    deadline = monotonic() + _STOP_BOUND
+    for worker in started:
+        worker.join(max(deadline - monotonic(), 0.0))
+    for worker in started:
+        if isinstance(worker, threading.Thread):
+            continue
+        if worker.is_alive():
+            worker.terminate()
+        worker.join()
+        worker.close()
+    # the master sent on the command channels only; joining their feeder
+    # threads leaves none alive for the next pass's fork
+    for channel in channels:
+        channel.close()
+
+
 def run_particle_filter(
     model_factory: Callable[[], Model],
     parameters: Parameters,
@@ -361,6 +429,11 @@ def run_particle_filter(
 ) -> FilterResult:
     """Run one parallel filtering pass and estimate the marginal likelihood.
 
+    With ``workers >= 2`` each worker is a forked process where the
+    platform can fork, so ``model_factory`` runs there: it may be any
+    callable, a closure included, but what it changes (counters, globals,
+    caches) stays in the worker process and is not visible to the caller.
+
     ``worker_dependent_seed_fault`` deliberately mixes the worker count
     into the resampling seed; the verification suite uses it to prove the
     worker-count invariance check can fail.
@@ -376,19 +449,11 @@ def run_particle_filter(
 
     n = len(observations)
     p = ensemble_size
-    commands = [Channel() for _ in range(workers)]
-    reports = Channel()
-    inboxes = [Channel(delay=transfer_delay) for _ in range(workers)]
-    runtimes = []
-    threads = []
-    for rank in range(workers):
-        runtime = _WorkerRuntime(
-            rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
-            reports, inboxes[rank], {w: inboxes[w] for w in range(workers)}, timeout,
-        )
-        runtimes.append(runtime)
-        thread = threading.Thread(target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
-        threads.append(thread)
+    context = _fork_context() if workers >= 2 else None
+    commands = [Channel(context=context) for _ in range(workers)]
+    reports = Channel(context=context)
+    inboxes = [Channel(delay=transfer_delay, context=context) for _ in range(workers)]
+    started: list = []      # worker threads or processes, by rank
 
     timings: list[StageTiming] = []
     rows: list[np.ndarray] = []
@@ -399,10 +464,22 @@ def run_particle_filter(
     degenerate: tuple = ()
 
     def _recv_report(expected_type, step: str):
-        try:
-            message = reports.recv(timeout)
-        except queue.Empty:
-            raise ProtocolError("timed out gathering worker reports", rank=MASTER_RANK, step=step)
+        deadline = monotonic() + timeout
+        while True:
+            try:
+                message = reports.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
+                break
+            except queue.Empty:
+                pass
+            # a process killed by a signal, or ended by an uncaught
+            # BaseException, sends no error report
+            for rank, launcher in enumerate(started):
+                code = getattr(launcher, "exitcode", None)
+                if code not in (None, 0):
+                    raise ProtocolError(f"worker process exited with code {code}",
+                                        rank=rank, step=step)
+            if monotonic() >= deadline:
+                raise ProtocolError("timed out gathering worker reports", rank=MASTER_RANK, step=step)
         if isinstance(message, ErrorReport):
             raise ProtocolError(message.message, rank=message.worker, step=message.step)
         if not isinstance(message, expected_type):
@@ -411,9 +488,20 @@ def run_particle_filter(
         return message
 
     t_start = perf_counter()
+    completed = False
     try:
-        for thread in threads:
-            thread.start()
+        for rank in range(workers):
+            runtime = _WorkerRuntime(
+                rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
+                reports, inboxes[rank], {w: inboxes[w] for w in range(workers)}, timeout,
+            )
+            if context is None:
+                launcher = threading.Thread(target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
+            else:
+                launcher = context.Process(target=_run_forked, args=(runtime,),
+                                           name=f"pf-worker-{rank}", daemon=True)
+            launcher.start()
+            started.append(launcher)
         for rank in range(workers):
             commands[rank].send(Broadcast(sample_index, parameters))
 
@@ -492,11 +580,10 @@ def run_particle_filter(
         for _ in range(workers):
             report = _recv_report(ExitReport, "6/exit-gather")
             timings.extend(report.timings)
-        for runtime in runtimes:
-            marks.extend(runtime.marks)
+            marks.extend(report.marks)
+        completed = True
     finally:
-        for thread in threads:
-            thread.join(timeout=timeout)
+        _stop(started, commands, [*commands, reports, *inboxes], abort=not completed)
 
     wall_time = perf_counter() - t_start
     estimate = estimate_marginal_from_log(np.vstack(rows))

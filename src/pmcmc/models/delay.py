@@ -2,7 +2,7 @@
 
 Each advance sleeps for a fixed interval and observation likelihoods are
 identically 1, so runtime reflects pure engine and distribution overhead.
-The sleep releases the interpreter lock, letting worker threads overlap.
+The sleep releases the interpreter lock, so even worker threads overlap.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Message schema and in-process channels for the master-worker runtime.
+"""Message schema and channels for the master-worker runtime.
 
 Every message crossing a channel is a versioned, byte-serialized payload,
-so the in-process queue transport used here could be swapped for a
-socket- or process-based one without touching the protocol logic. Sends
-never block; receives support timeouts and an optional artificial
-delivery delay used by tests to force transfer latency.
+so the protocol logic is the same whichever queue carries it: an
+in-process ``queue.Queue`` between threads, or a ``multiprocessing``
+queue between forked worker processes. Sends never block; receives
+support timeouts and an optional artificial delivery delay used by tests
+to force transfer latency.
 """
 
 from __future__ import annotations
@@ -95,8 +96,12 @@ class WorkerReport:
 
 @dataclass(frozen=True)
 class ExitReport:
+    """Step 6: the worker's last stage timings and its event marks
+    (worker, name, observation_index, timestamp) for the whole pass."""
+
     worker: int
     timings: tuple
+    marks: tuple
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,30 @@ def decode_message(payload: bytes):
 class Channel:
     """Ordered reliable byte channel between two endpoints.
 
+    Without ``context`` the channel is an in-process ``queue.Queue``; with a
+    ``multiprocessing`` context it is that context's ``Queue``, usable from
+    processes forked after the channel was made.
+
     ``delay`` postpones delivery (not sending) by a fixed interval, which
     tests use to assert that local work overlaps in-flight transfers.
     """
 
-    def __init__(self, delay: float = 0.0):
-        self._q: queue.Queue = queue.Queue()
+    def __init__(self, delay: float = 0.0, context=None):
+        self._shared = context is not None
+        self._q = context.Queue() if self._shared else queue.Queue()
         self._delay = float(delay)
+
+    def close(self) -> None:
+        """Flush what this process sent and stop its queue's feeder thread."""
+        if self._shared:
+            self._q.close()
+            self._q.join_thread()
+
+    def abandon(self) -> None:
+        """Let this process exit without waiting for the receiver to read
+        what it sent (the receiver may be gone)."""
+        if self._shared:
+            self._q.cancel_join_thread()
 
     def send(self, message) -> None:
         # non-blocking: enqueue and return; visibility time enforced on receive

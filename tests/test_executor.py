@@ -1,22 +1,33 @@
 """Parallel filtering runtime: worker-count invariance, the placement
-protocol's observable steps, fault handling, overlap of replication with
-transfers."""
+protocol's observable steps, fault handling and teardown, overlap of
+replication with transfers, the thread and process launchers."""
 
 import math
+import multiprocessing
+import os
 import queue
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmcmc
+import pmcmc.executor
 from pmcmc.core import (
+    MODEL_STREAM,
     ObservationSeries,
     Parameters,
     ProtocolError,
     ValidationError,
+    derive_seeds,
 )
 from pmcmc.executor import _WorkerRuntime, run_particle_filter, worker_lineages
 from pmcmc.instrumentation import MASTER_RANK, STAGES
-from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel
+from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel, get_model_entry
 from pmcmc.models.predator_prey import DESK_DEFAULTS, ibm_synthesize
 from pmcmc.transport import Broadcast, Channel, ParticleTransfer, RouteCommand
 
@@ -217,6 +228,160 @@ class TestFailurePropagation:
             run_particle_filter(LinearGaussianModel, {"a": 0.8}, _OBS, 4, 1)
         with pytest.raises(ValidationError):
             run_particle_filter(LinearGaussianModel, _THETA, [(1, {"y": 0.0})], 4, 1)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes need the fork start method")
+
+
+def _init_seed(lineage):
+    """Model-stream seed of a lineage at initialization (chain 0, sample 0)."""
+    return derive_seeds(0, 0, 0, np.array([lineage]), MODEL_STREAM)[0]
+
+
+class _FaultyModel(LinearGaussianModel):
+    """Linear-Gaussian model that fails in one way on one lineage only,
+    recognised by its initialization seed; every fault fires by event 1."""
+
+    def __init__(self, fault, lineage):
+        super().__init__()
+        self._fault = fault
+        self._poison = _init_seed(lineage)
+        self._poisoned = False
+
+    def _fires(self, fault):
+        return self._poisoned and self._fault == fault
+
+    def init(self, parameters, seed):
+        self._poisoned = seed == self._poison
+        if self._fires("init"):
+            raise RuntimeError("injected init fault")
+        super().init(parameters, seed)
+
+    def run(self, target_time):
+        if self._fires("run"):
+            raise RuntimeError("injected run fault")
+        if self._fires("kill"):
+            os._exit(3)
+        super().run(target_time)
+
+    def log_observe(self, data):
+        if self._fires("log_observe"):
+            raise RuntimeError("injected observe fault")
+        if self._fires("nan"):
+            return math.nan
+        if self._fires("inf"):
+            return math.inf
+        return super().log_observe(data)
+
+
+class _StuckModel(DelayModel):
+    """Delay model that hangs on one lineage only."""
+
+    def __init__(self, lineage):
+        super().__init__(delay_ms=0.0)
+        self._poison = _init_seed(lineage)
+        self._stuck = False
+
+    def init(self, parameters, seed):
+        self._stuck = seed == self._poison
+        super().init(parameters, seed)
+
+    def run(self, target_time):
+        if self._stuck:
+            time.sleep(5.0)
+        super().run(target_time)
+
+
+def _live():
+    return threading.active_count(), len(multiprocessing.active_children())
+
+
+@needs_fork
+class TestFaultInjection:
+    """One rank fails while the other survives (p=4, W=2: lineages 0, 1
+    on rank 0 and 2, 3 on rank 1). The error must name the failing rank
+    and step, arrive within a second, and leave no worker behind."""
+
+    @pytest.mark.parametrize("fault, lineage, rank, step", [
+        ("init", 0, 0, "2/init"),
+        ("run", 3, 1, "4/advance[1]"),
+        ("log_observe", 0, 0, "4/advance[1]"),
+        ("nan", 3, 1, "5/observe[1]"),
+        ("inf", 0, 0, "5/observe[1]"),
+        ("kill", 3, 1, "5/gather[1]"),
+    ])
+    def test_failing_model(self, fault, lineage, rank, step):
+        before = _live()
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError) as info:
+            run_particle_filter(lambda: _FaultyModel(fault, lineage), _THETA, _OBS, 4, 2, timeout=4.0)
+        assert time.perf_counter() - started < 1.0
+        assert (info.value.rank, info.value.step) == (rank, step)
+        assert _live() == before
+
+    def test_stuck_worker(self):
+        before = _live()
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError) as info:
+            run_particle_filter(lambda: _StuckModel(2), Parameters({}), _OBS, 4, 2, timeout=0.2)
+        assert time.perf_counter() - started < 1.0
+        assert (info.value.rank, info.value.step) == (MASTER_RANK, "5/gather[1]")
+        assert "timed out" in str(info.value)
+        assert _live() == before
+
+
+class TestLaunchers:
+    @needs_fork
+    def test_no_thread_or_process_outlives_a_pass(self):
+        # a feeder thread alive at the next pass's fork would be copied
+        # into the child without its lock state
+        before = _live()
+        run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 2)
+        assert _live() == before
+        with pytest.raises(ProtocolError):
+            run_particle_filter(lambda: _FaultyModel("run", 0), _THETA, _OBS, 8, 2, timeout=4.0)
+        assert _live() == before
+
+    def test_closure_factory_matches_single_worker(self):
+        entry = get_model_entry("predator_prey")
+        config = {"profile": "desk"}
+        theta = Parameters({"K_prey": 25.0, "K_pred": 15.0})
+        obs = ibm_synthesize(DESK_DEFAULTS, (2, 4, 6), 5, 100, 10)
+        runs = {W: run_particle_filter(lambda: entry.factory(config), theta, obs, 16, W, chain_index=4)
+                for W in (1, 2)}
+        for W in (1, 2):
+            est = runs[W].estimate
+            runs[W] = (est.log_value.hex(), est.log_std.hex(), runs[W].diagnostics.resample_counts)
+        assert runs[2] == runs[1]
+
+    @needs_fork
+    def test_factory_runs_in_the_worker(self):
+        built = []
+
+        def factory():
+            built.append(os.getpid())
+            return LinearGaussianModel()
+
+        run_particle_filter(factory, _THETA, _OBS, 4, 1)
+        assert set(built) == {os.getpid()}
+        built.clear()
+        run_particle_filter(factory, _THETA, _OBS, 4, 2)
+        assert built == []
+
+    def test_thread_fallback_without_fork(self, monkeypatch):
+        processes = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 2, chain_index=11)
+        monkeypatch.setattr(pmcmc.executor, "_fork_context", lambda: None)
+        threads = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 2, chain_index=11)
+        assert threads.estimate.log_value == processes.estimate.log_value
+        assert threads.diagnostics.resample_counts == processes.diagnostics.resample_counts
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        code = "import sys, pmcmc.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(pmcmc.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 def _runtime(rank, p, W, timeout=0.2):
