@@ -463,29 +463,37 @@ def run_particle_filter(
     copy_fractions: list[float] = []
     degenerate: tuple = ()
 
-    def _recv_report(expected_type, step: str):
-        deadline = monotonic() + timeout
-        while True:
-            try:
-                message = reports.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
-                break
-            except queue.Empty:
-                pass
-            # a process killed by a signal, or ended by an uncaught
-            # BaseException, sends no error report
-            for rank, launcher in enumerate(started):
-                code = getattr(launcher, "exitcode", None)
-                if code not in (None, 0):
-                    raise ProtocolError(f"worker process exited with code {code}",
-                                        rank=rank, step=step)
-            if monotonic() >= deadline:
-                raise ProtocolError("timed out gathering worker reports", rank=MASTER_RANK, step=step)
-        if isinstance(message, ErrorReport):
-            raise ProtocolError(message.message, rank=message.worker, step=message.step)
-        if not isinstance(message, expected_type):
-            raise ProtocolError(f"unexpected report {type(message).__name__}",
-                                rank=MASTER_RANK, step=step)
-        return message
+    def _gather(expected_type, step: str) -> list:
+        """One report from every rank, in arrival order; a timeout names
+        the lowest rank not heard from."""
+        gathered = []
+        silent = set(range(workers))
+        while silent:
+            deadline = monotonic() + timeout
+            while True:
+                try:
+                    message = reports.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
+                    break
+                except queue.Empty:
+                    pass
+                # a process killed by a signal, or ended by an uncaught
+                # BaseException, sends no error report
+                for rank, launcher in enumerate(started):
+                    code = getattr(launcher, "exitcode", None)
+                    if code not in (None, 0):
+                        raise ProtocolError(f"worker process exited with code {code}",
+                                            rank=rank, step=step)
+                if monotonic() >= deadline:
+                    raise ProtocolError(f"timed out gathering worker reports, none from ranks "
+                                        f"{sorted(silent)}", rank=min(silent), step=step)
+            if isinstance(message, ErrorReport):
+                raise ProtocolError(message.message, rank=message.worker, step=message.step)
+            if not isinstance(message, expected_type):
+                raise ProtocolError(f"unexpected report {type(message).__name__}",
+                                    rank=MASTER_RANK, step=step)
+            silent.discard(message.worker)
+            gathered.append(message)
+        return gathered
 
     t_start = perf_counter()
     completed = False
@@ -506,8 +514,7 @@ def run_particle_filter(
             commands[rank].send(Broadcast(sample_index, parameters))
 
         initialized = {}
-        for _ in range(workers):
-            report = _recv_report(InitReport, "2/init-gather")
+        for report in _gather(InitReport, "2/init-gather"):
             timings.extend(report.timings)
             for lineage in report.lineage_ids:
                 initialized[lineage] = report.worker
@@ -522,8 +529,7 @@ def run_particle_filter(
                 commands[rank].send(Advance(j, target_time, data))
             t0 = perf_counter()
             gathered_ids, gathered_weights = [], []
-            for _ in range(workers):
-                report = _recv_report(WorkerReport, f"5/gather[{j}]")
+            for report in _gather(WorkerReport, f"5/gather[{j}]"):
                 if report.observation_index != j:
                     raise ProtocolError(
                         f"report for event {report.observation_index} while gathering event {j}",
@@ -577,8 +583,7 @@ def run_particle_filter(
 
         for rank in range(workers):
             commands[rank].send(ExitCommand())
-        for _ in range(workers):
-            report = _recv_report(ExitReport, "6/exit-gather")
+        for report in _gather(ExitReport, "6/exit-gather"):
             timings.extend(report.timings)
             marks.extend(report.marks)
         completed = True

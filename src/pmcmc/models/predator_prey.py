@@ -17,7 +17,15 @@ and body mass. One model step applies, in this fixed order:
                  ``juvenile_mass``
 
 The fixed draw order makes a trajectory exactly replayable from the seed,
-which the engine relies on for particle replication and reseeding.
+which the engine relies on for particle replication and reseeding. It is
+the contract: every step makes exactly these four draws, in this order and
+with these sizes, zero-size blocks included, whatever their outcome.
+
+``ibm_advance`` is the one stepping kernel. The model's ``run``, the
+synthesizer and ``ibm_step`` (one step) all go through it. It folds
+predation and death into one keep mask, so the census compacts once per
+step, and it never writes into the arrays of the state it is given: the
+caller, ``PredatorPreyModel.state`` or a test may still hold them.
 
 Counts are observed through a Poisson counting-error model restricted to
 detectable individuals (mass >= ``detection_mass``).
@@ -57,6 +65,7 @@ __all__ = [
     "IbmState",
     "PredatorPreyModel",
     "death_probability",
+    "ibm_advance",
     "ibm_log_observe",
     "ibm_step",
     "ibm_synthesize",
@@ -176,52 +185,84 @@ def death_probability(count: int, base_rate: float, crowd_rate: float,
     return min(max(p, 0.0), 1.0)
 
 
+def ibm_advance(state: IbmState, target: int, params: IbmParameters,
+                rng: np.random.Generator) -> IbmState:
+    """Advance the census to step ``target`` using the documented draw order.
+
+    This is the one stepping kernel: the model, the synthesizer and
+    ``ibm_step`` all advance through it. It never writes into the arrays
+    of ``state``, which its caller may still hold; with no step to take it
+    returns ``state`` itself.
+    """
+    if target < state.step:
+        raise ValidationError(f"target step must be >= {state.step}, got {target}")
+    if target == state.step:
+        return state
+    growth, maturation = params.growth_increment, params.maturation_mass
+    encounter, juvenile_mass = params.encounter_rate, params.juvenile_mass
+    # census as boolean masks; species and stage codes are 0 or 1
+    pred = state.species == PREDATOR
+    adult = state.stage == ADULT
+    mass = state.mass
+    for _ in range(target - state.step):
+        # 1. growth, 2. maturation (juvenile -> adult only)
+        mass = mass + growth
+        adult = adult | (mass >= maturation)
+
+        # 3. predation: the uniform block is always drawn so the stream
+        # position depends only on the census size, not on the outcome
+        n_pred = np.count_nonzero(pred)
+        n_prey = mass.size - n_pred
+        u = rng.random(n_prey)
+        alive = None                    # predation survivors, when any prey is eaten
+        if n_pred > 0 and encounter > 0.0 and n_prey > 0:
+            consume_p = -math.expm1(math.log1p(-encounter) * (n_pred / params.pred_area))
+            spared = u >= consume_p
+            n_spared = np.count_nonzero(spared)
+            if n_spared < n_prey:
+                alive = pred.copy()
+                alive[~pred] = spared
+                n_prey = n_spared
+
+        # 4. density-dependent death over the survivors; predation and
+        # death fold into one keep mask, so the census compacts once
+        d_prey = death_probability(n_prey, params.prey_base_death, params.prey_crowd_death,
+                                   params.K_prey, params.prey_area)
+        d_pred = death_probability(n_pred, params.pred_base_death, params.pred_crowd_death,
+                                   params.K_pred, params.pred_area)
+        v = rng.random(n_prey + n_pred)
+        threshold = np.where(pred, d_pred, d_prey)
+        if alive is None:
+            keep = v >= threshold
+        else:
+            keep = np.zeros(mass.size, dtype=bool)
+            keep[alive] = v >= threshold[alive]
+        pred, adult, mass = pred[keep], adult[keep], mass[keep]
+
+        # 5. reproduction: adults only, one Poisson per adult, prey block first
+        n_adult_pred = np.count_nonzero(adult & pred)
+        n_adult_prey = np.count_nonzero(adult) - n_adult_pred
+        births_prey = int(rng.poisson(params.prey_birth_rate, n_adult_prey).sum())
+        births_pred = int(rng.poisson(params.pred_birth_rate, n_adult_pred).sum())
+        if births_prey or births_pred:
+            # offspring appended prey then predators, as juveniles
+            m = mass.size
+            size = m + births_prey + births_pred
+            grown_mass = np.empty(size)
+            grown_mass[:m] = mass
+            grown_mass[m:] = juvenile_mass
+            grown_pred = np.zeros(size, dtype=bool)
+            grown_pred[:m] = pred
+            grown_pred[m + births_prey:] = True
+            grown_adult = np.zeros(size, dtype=bool)
+            grown_adult[:m] = adult
+            pred, adult, mass = grown_pred, grown_adult, grown_mass
+    return IbmState(pred.view(np.uint8), adult.view(np.uint8), mass, target)
+
+
 def ibm_step(state: IbmState, params: IbmParameters, rng: np.random.Generator) -> IbmState:
-    """Advance the census one step using the documented draw order."""
-    species = state.species
-    # 1. growth, 2. maturation (stage moves juvenile -> adult only)
-    mass = state.mass + params.growth_increment
-    stage = np.maximum(state.stage, (mass >= params.maturation_mass).astype(np.uint8))
-
-    # 3. predation: the uniform block is always drawn so the stream
-    # position depends only on the census size, not on the outcome
-    prey_mask = species == PREY
-    n_prey = int(prey_mask.sum())
-    n_pred = species.size - n_prey
-    u = rng.random(n_prey)
-    if n_pred > 0 and params.encounter_rate > 0.0 and n_prey > 0:
-        consume_p = -math.expm1(math.log1p(-params.encounter_rate) * (n_pred / params.pred_area))
-        keep = np.ones(species.size, dtype=bool)
-        keep[np.flatnonzero(prey_mask)[u < consume_p]] = False
-        species, stage, mass = species[keep], stage[keep], mass[keep]
-
-    # 4. density-dependent death over the survivors
-    n_prey = int((species == PREY).sum())
-    n_pred = species.size - n_prey
-    d_prey = death_probability(n_prey, params.prey_base_death, params.prey_crowd_death,
-                               params.K_prey, params.prey_area)
-    d_pred = death_probability(n_pred, params.pred_base_death, params.pred_crowd_death,
-                               params.K_pred, params.pred_area)
-    v = rng.random(species.size)
-    keep = v >= np.where(species == PREY, d_prey, d_pred)
-    species, stage, mass = species[keep], stage[keep], mass[keep]
-
-    # 5. reproduction: adults only, one Poisson per adult
-    adult = stage == ADULT
-    n_adult_prey = int((adult & (species == PREY)).sum())
-    n_adult_pred = int((adult & (species == PREDATOR)).sum())
-    births_prey = int(rng.poisson(params.prey_birth_rate, n_adult_prey).sum())
-    births_pred = int(rng.poisson(params.pred_birth_rate, n_adult_pred).sum())
-    if births_prey or births_pred:
-        species = np.concatenate([
-            species,
-            np.full(births_prey, PREY, np.uint8),
-            np.full(births_pred, PREDATOR, np.uint8),
-        ])
-        n_births = births_prey + births_pred
-        stage = np.concatenate([stage, np.zeros(n_births, np.uint8)])
-        mass = np.concatenate([mass, np.full(n_births, params.juvenile_mass)])
-    return IbmState(species, stage, mass, state.step + 1)
+    """Advance the census one step: ``ibm_advance`` to the next step."""
+    return ibm_advance(state, state.step + 1, params, rng)
 
 
 def _validate_counts(data: Mapping[str, Any]) -> dict:
@@ -236,13 +277,19 @@ def _validate_counts(data: Mapping[str, Any]) -> dict:
     return counts
 
 
+def _detectable_counts(state: IbmState, detection_mass: float) -> tuple[int, int]:
+    """Detectable (prey, predator) counts, from one mask over the census."""
+    counts = np.bincount(state.species[state.mass >= detection_mass], minlength=2)
+    return int(counts[PREY]), int(counts[PREDATOR])
+
+
 def ibm_log_observe(state: IbmState, data: Mapping[str, Any], params: IbmParameters) -> float:
     """Log likelihood of observed counts: independent Poisson counting
     error per species with mean = detectable abundance + epsilon."""
     counts = _validate_counts(data)
     total = 0.0
-    for field, species in (("prey", PREY), ("predator", PREDATOR)):
-        lam = state.detectable_count(species, params.detection_mass) + DETECTION_EPSILON
+    for field, detectable in zip(OBS_FIELDS, _detectable_counts(state, params.detection_mass)):
+        lam = detectable + DETECTION_EPSILON
         k = counts[field]
         total += k * math.log(lam) - lam - math.lgamma(k + 1)
     return total
@@ -268,12 +315,10 @@ def ibm_synthesize(
         target = int(t)
         if target != t or target < state.step:
             raise ValidationError(f"schedule times must be nondecreasing integers, got {t!r}")
-        while state.step < target:
-            state = ibm_step(state, params, rng)
-        records.append({
-            "prey": int(noise.poisson(state.detectable_count(PREY, params.detection_mass) + DETECTION_EPSILON)),
-            "predator": int(noise.poisson(state.detectable_count(PREDATOR, params.detection_mass) + DETECTION_EPSILON)),
-        })
+        state = ibm_advance(state, target, params, rng)
+        detectable = _detectable_counts(state, params.detection_mass)
+        records.append({field: int(noise.poisson(count + DETECTION_EPSILON))
+                        for field, count in zip(OBS_FIELDS, detectable)})
     return ObservationSeries(tuple(int(t) for t in times), tuple(records))
 
 
@@ -311,10 +356,7 @@ class PredatorPreyModel(Model):
         target = int(target_time)
         if target != target_time or target < self._state.step:
             raise ValidationError(f"target time must be an integer >= {self._state.step}, got {target_time!r}")
-        state, params, rng = self._state, self._params, self._rng
-        while state.step < target:
-            state = ibm_step(state, params, rng)
-        self._state = state
+        self._state = ibm_advance(self._state, target, self._params, self._rng)
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         if self._state is None:

@@ -29,6 +29,7 @@ from pmcmc.executor import _WorkerRuntime, run_particle_filter, worker_lineages
 from pmcmc.instrumentation import MASTER_RANK, STAGES
 from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel, get_model_entry
 from pmcmc.models.predator_prey import DESK_DEFAULTS, ibm_synthesize
+from pmcmc.routing import Routing
 from pmcmc.transport import Broadcast, Channel, ParticleTransfer, RouteCommand
 
 _OBS = ObservationSeries((5, 10, 15, 20),
@@ -326,8 +327,51 @@ class TestFaultInjection:
         with pytest.raises(ProtocolError) as info:
             run_particle_filter(lambda: _StuckModel(2), Parameters({}), _OBS, 4, 2, timeout=0.2)
         assert time.perf_counter() - started < 1.0
-        assert (info.value.rank, info.value.step) == (MASTER_RANK, "5/gather[1]")
+        assert (info.value.rank, info.value.step) == (1, "5/gather[1]")
         assert "timed out" in str(info.value)
+        assert "ranks [1]" in str(info.value)
+        assert _live() == before
+
+    # Whole-pass routing and transfer faults. Identity resampling keeps
+    # lineages 0, 1 on rank 0 and 2, 3 on rank 1; the master's routing is
+    # swapped for one that sends the listed rank a tampered slice after
+    # event 1. Rows are (lineage, source, destination, new id). Every
+    # particle sleeps 50 ms an advance, so a worker that waits on a
+    # transfer times out before the master's gather does.
+    @pytest.mark.parametrize("slices, timeout, rank, step, words", [
+        ({0: ((0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 2))}, 4.0, 0, "10/routing[1]",
+         "foreign transfer"),
+        ({0: ((0, 0, 0, 0), (3, 0, 0, 1))}, 4.0, 0, "10(a)/prune[1]",
+         "non-resident particles [3]"),
+        ({1: ((0, 0, 1, 2), (3, 1, 1, 3))}, 0.2, 1, "10(d)/receive[1]",
+         "missing expected transfers [(0, 0)]"),
+        ({0: ((0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 2)), 1: ((1, 0, 1, 2), (3, 1, 1, 3))},
+         4.0, 1, "10(d)/receive[1]", "unsolicited transfer of lineage 0 from worker 0"),
+    ], ids=["foreign-transfer", "non-resident-lineage", "missing-transfer", "unsolicited-transfer"])
+    def test_routing_fault(self, monkeypatch, slices, timeout, rank, step, words):
+        computed = pmcmc.executor.compute_routing
+
+        class Tampered(Routing):
+            __slots__ = ()
+
+            def slice_table(self, worker=None):
+                if worker in slices:
+                    return np.array(slices[worker], dtype=np.int32)
+                return super().slice_table(worker)
+
+        def tampered(counts, worker_of, W):
+            routing = computed(counts, worker_of, W)
+            return Tampered(routing.lineage, routing.source, routing.destination, routing.W_max)
+
+        monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
+        before = _live()
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError) as info:
+            run_particle_filter(lambda: DelayModel(delay_ms=50.0), Parameters({}), _OBS, 4, 2,
+                                resampler=_identity_resampler, timeout=timeout)
+        assert time.perf_counter() - started < 1.0
+        assert (info.value.rank, info.value.step) == (rank, step)
+        assert words in str(info.value)
         assert _live() == before
 
 

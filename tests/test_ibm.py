@@ -1,6 +1,7 @@
 """Individual-based predator-prey dynamics and its counting observation model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pmcmc.models.predator_prey import (
     IbmParameters,
     IbmState,
     death_probability,
+    ibm_advance,
     ibm_log_observe,
     ibm_step,
     ibm_synthesize,
@@ -27,6 +29,129 @@ from pmcmc.models.predator_prey import (
 def _state(species, stage, mass, step=0):
     return IbmState(np.asarray(species, np.uint8), np.asarray(stage, np.uint8),
                     np.asarray(mass, np.float64), step)
+
+
+def _reference_step(state, params, rng):
+    """The stepper before the one-kernel rewrite, kept verbatim as the
+    bit-identity reference for ``ibm_advance``: two compactions a step
+    and masks re-derived from the species codes."""
+    species = state.species
+    # 1. growth, 2. maturation (stage moves juvenile -> adult only)
+    mass = state.mass + params.growth_increment
+    stage = np.maximum(state.stage, (mass >= params.maturation_mass).astype(np.uint8))
+
+    # 3. predation: the uniform block is always drawn so the stream
+    # position depends only on the census size, not on the outcome
+    prey_mask = species == PREY
+    n_prey = int(prey_mask.sum())
+    n_pred = species.size - n_prey
+    u = rng.random(n_prey)
+    if n_pred > 0 and params.encounter_rate > 0.0 and n_prey > 0:
+        consume_p = -math.expm1(math.log1p(-params.encounter_rate) * (n_pred / params.pred_area))
+        keep = np.ones(species.size, dtype=bool)
+        keep[np.flatnonzero(prey_mask)[u < consume_p]] = False
+        species, stage, mass = species[keep], stage[keep], mass[keep]
+
+    # 4. density-dependent death over the survivors
+    n_prey = int((species == PREY).sum())
+    n_pred = species.size - n_prey
+    d_prey = death_probability(n_prey, params.prey_base_death, params.prey_crowd_death,
+                               params.K_prey, params.prey_area)
+    d_pred = death_probability(n_pred, params.pred_base_death, params.pred_crowd_death,
+                               params.K_pred, params.pred_area)
+    v = rng.random(species.size)
+    keep = v >= np.where(species == PREY, d_prey, d_pred)
+    species, stage, mass = species[keep], stage[keep], mass[keep]
+
+    # 5. reproduction: adults only, one Poisson per adult
+    adult = stage == ADULT
+    n_adult_prey = int((adult & (species == PREY)).sum())
+    n_adult_pred = int((adult & (species == PREDATOR)).sum())
+    births_prey = int(rng.poisson(params.prey_birth_rate, n_adult_prey).sum())
+    births_pred = int(rng.poisson(params.pred_birth_rate, n_adult_pred).sum())
+    if births_prey or births_pred:
+        species = np.concatenate([
+            species,
+            np.full(births_prey, PREY, np.uint8),
+            np.full(births_pred, PREDATOR, np.uint8),
+        ])
+        n_births = births_prey + births_pred
+        stage = np.concatenate([stage, np.zeros(n_births, np.uint8)])
+        mass = np.concatenate([mass, np.full(n_births, params.juvenile_mass)])
+    return IbmState(species, stage, mass, state.step + 1)
+
+
+def _census_bytes(state):
+    return (state.species.dtype, state.stage.dtype, state.mass.dtype, state.step,
+            state.species.tobytes(), state.stage.tobytes(), state.mass.tobytes())
+
+
+_CROWDED = replace(DESK_DEFAULTS, prey_base_death=0.3, pred_base_death=0.3,
+                   prey_crowd_death=0.9, pred_crowd_death=0.9, K_prey=1.0, K_pred=1.0)
+
+
+class TestKernelBitIdentity:
+    """``PredatorPreyModel.run`` through ``ibm_advance`` against the
+    reference stepper: same census bytes, same step and the same stream
+    position, read as the next four draws."""
+
+    HORIZON = 30
+
+    @staticmethod
+    def _compare(params, start, seed, spacing, horizon):
+        model = PredatorPreyModel(params)
+        model.init(Parameters({}), seed)
+        model._state = start
+        reference, rng = start, make_stream(seed)
+        held = [(start, _census_bytes(start))]
+        for target in range(start.step + spacing, start.step + horizon + 1, spacing):
+            model.run(target)
+            while reference.step < target:
+                reference = _reference_step(reference, params, rng)
+            assert _census_bytes(model.state) == _census_bytes(reference)
+            held.append((model.state, _census_bytes(model.state)))
+        np.testing.assert_array_equal(model._rng.random(4), rng.random(4))
+        # the kernel never writes into a state it was given
+        for state, snapshot in held:
+            assert _census_bytes(state) == snapshot
+        return reference
+
+    @pytest.mark.parametrize("spacing", [1, 5])
+    @pytest.mark.parametrize("params, n_prey, n_pred", [
+        (DESK_DEFAULTS, 100, 10),
+        (FULL_SCALE_DEFAULTS, 2000, 30),
+        (replace(DESK_DEFAULTS, encounter_rate=0.0), 100, 10),
+        (DESK_DEFAULTS, 100, 0),
+        (DESK_DEFAULTS, 0, 20),
+        (DESK_DEFAULTS, 0, 0),
+        (replace(DESK_DEFAULTS, juvenile_mass=1.2), 100, 10),
+    ], ids=["desk", "full", "no-encounter", "prey-only", "predators-only", "empty",
+            "juvenile-mass-mature"])
+    def test_profiles_and_edge_censuses(self, params, n_prey, n_pred, spacing):
+        for seed in (3, 41):
+            start = IbmState.initial(n_prey, n_pred, params.maturation_mass)
+            self._compare(params, start, seed, spacing, self.HORIZON)
+
+    @pytest.mark.parametrize("spacing", [1, 5])
+    def test_crowding_drives_extinction(self, spacing):
+        for seed in (3, 41):
+            start = IbmState.initial(100, 10, _CROWDED.maturation_mass)
+            end = self._compare(_CROWDED, start, seed, spacing, self.HORIZON)
+            assert len(end) == 0
+
+    @pytest.mark.parametrize("spacing", [1, 5])
+    def test_adult_below_maturation_mass(self, spacing):
+        start = _state([PREY, PREY, PREDATOR, PREY, PREDATOR], [ADULT, JUVENILE, ADULT, ADULT, JUVENILE],
+                       [0.3, 0.9, 0.1, 1.5, 0.2], step=3)
+        for seed in (3, 41):
+            self._compare(DESK_DEFAULTS, start, seed, spacing, self.HORIZON)
+
+    def test_no_step_returns_the_state(self):
+        state = IbmState.initial(10, 2, mass=1.0)
+        rng = make_stream(0)
+        assert ibm_advance(state, 0, DESK_DEFAULTS, rng) is state
+        with pytest.raises(ValidationError):
+            ibm_advance(ibm_step(state, DESK_DEFAULTS, rng), 0, DESK_DEFAULTS, rng)
 
 
 class TestStepReplay:
@@ -209,6 +334,18 @@ class TestSynthesis:
             ibm_synthesize(DESK_DEFAULTS, (), 0, 100, 10)
         with pytest.raises(ValidationError):
             ibm_synthesize(DESK_DEFAULTS, (1.5,), 0, 100, 10)
+
+    def test_frozen_records(self):
+        """Records frozen from the stepper before the one-kernel rewrite."""
+        times = (5, 10, 20, 35)
+        desk = ibm_synthesize(DESK_DEFAULTS, times, 42, 100, 10)
+        assert [d for _, d in desk] == [
+            {"prey": 102, "predator": 2}, {"prey": 99, "predator": 6},
+            {"prey": 124, "predator": 6}, {"prey": 145, "predator": 9}]
+        full = ibm_synthesize(FULL_SCALE_DEFAULTS, times, 42, 2000, 30)
+        assert [d for _, d in full] == [
+            {"prey": 1596, "predator": 25}, {"prey": 1802, "predator": 38},
+            {"prey": 1929, "predator": 33}, {"prey": 1953, "predator": 25}]
 
     def test_full_scale_equilibrium_band(self):
         """The large habitat holds a quasi-equilibrium near 2000 detectable
