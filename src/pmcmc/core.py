@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -207,9 +208,24 @@ def rekey(generator: np.random.Generator, seed: int) -> None:
     generator.bit_generator.state = template
 
 
+@functools.cache
+def _fixed_seed_sequence() -> np.random.SeedSequence:
+    """The one seed sequence every stream is built from; its key is
+    replaced at once. Built on first use, so that importing the package
+    does not import ``numpy.random``, which takes tens of milliseconds."""
+    return np.random.SeedSequence(0)
+
+
 def make_stream(seed: int) -> np.random.Generator:
-    """Counter-based random stream (Philox) keyed by a derived seed."""
-    return np.random.Generator(np.random.Philox(key=seed))
+    """Counter-based random stream (Philox) keyed by a derived seed.
+
+    Its state is that of ``np.random.Philox(key=seed)`` bit for bit, at
+    a lower cost: given a key alone, numpy first seeds a ``SeedSequence``
+    from 128 bits of OS entropy, which the key then overrides.
+    """
+    generator = np.random.Generator(np.random.Philox(_fixed_seed_sequence()))
+    rekey(generator, seed)
+    return generator
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ filtering pass over an observation series:
 2.  workers initialize their share of the ensemble, each particle on its
     own deterministically derived stream
 3.  broadcast the next observation event
-4.  workers advance their particles to the event time
+4.  workers advance their particles to the event time, all of a
+    worker's at once through ``Model.run_many``
 5.  workers evaluate observation likelihoods, gathered by the master in
     lineage order
 6.  after the last event the master sends exit and forms the estimate
@@ -96,6 +97,14 @@ _STOP_BOUND = 0.5
 
 # Longest wait on the report channel between checks for a dead worker.
 _POLL_INTERVAL = 0.1
+
+# Share of ``timeout``, counted from the route command, within which a
+# worker must receive all its inbound transfers (step 10(d)). Its peers
+# send as soon as they hold the route command, while the master, which
+# scatters the routing and then the next event, waits the full ``timeout``
+# on that event's gather: a transfer that never comes is reported as the
+# receiving rank's own step-10(d) error, not as the master's gather timeout.
+_TRANSFER_SHARE = 0.5
 
 
 def worker_lineages(rank: int, ensemble_size: int, workers: int) -> range:
@@ -222,29 +231,28 @@ class _WorkerRuntime:
 
     def _advance(self, command: Advance) -> None:
         j = command.observation_index
-        run_time = 0.0
-        observe_time = 0.0
         lineages = sorted(self.particles)
+        models = [self.particles[lineage] for lineage in lineages]
+        t0 = perf_counter()
+        if models:
+            type(models[0]).run_many(models, command.target_time)
+        t1 = perf_counter()
         weights = []
-        for lineage in lineages:
-            model = self.particles[lineage]
-            t0 = perf_counter()
-            model.run(command.target_time)
-            t1 = perf_counter()
+        for lineage, model in zip(lineages, models):
             value = model.log_observe(command.data)
-            observe_time += perf_counter() - t1
-            run_time += t1 - t0
             if math.isnan(value) or value == math.inf:
                 raise ProtocolError(f"invalid log weight {value!r} from lineage {lineage}",
                                     rank=self.rank, step=f"5/observe[{j}]")
             weights.append(float(value))
-        self.pending.append(StageTiming("run", self.rank, self.sample_index, j, run_time))
-        self.pending.append(StageTiming("observe", self.rank, self.sample_index, j, observe_time))
+        t2 = perf_counter()
+        self.pending.append(StageTiming("run", self.rank, self.sample_index, j, t1 - t0))
+        self.pending.append(StageTiming("observe", self.rank, self.sample_index, j, t2 - t1))
         self.reports.send(WorkerReport(self.rank, j, np.array(lineages, dtype=np.int32),
                                        np.array(weights, dtype=np.float64), self._flush_timings()))
 
     def _apply_routing(self, command: RouteCommand) -> None:
         j = command.observation_index
+        deadline = monotonic() + _TRANSFER_SHARE * self.timeout      # for every inbound transfer
         # rows (lineage, source, destination, new_id), sorted so that every
         # group below lists its new ids, and the groups their keys, ascending
         table = np.asarray(command.entries, dtype=np.int64).reshape(-1, 4)
@@ -296,7 +304,7 @@ class _WorkerRuntime:
         while outstanding:
             t0 = perf_counter()
             try:
-                transfer = self.inbox.recv(self.timeout)
+                transfer = self.inbox.recv(max(deadline - monotonic(), 0.0))
             except queue.Empty:
                 raise ProtocolError(f"missing expected transfers {sorted(outstanding)}",
                                     rank=self.rank, step=f"10(d)/receive[{j}]")

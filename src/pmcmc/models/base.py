@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..core import Parameters, SerializationError
 
@@ -22,6 +22,11 @@ class Model(ABC):
     ``run`` must be Markov: the result distribution depends only on the
     current state, the parameters, the target time, and the stream.
 
+    ``run_many`` advances a batch of instances to one time; the engine
+    calls it once per event for all the particles of a worker. Whatever
+    it does, every instance must end as its own ``run`` would have left
+    it, on the same stream position.
+
     ``copy_from`` is the in-process replication path: it copies everything
     but the stream, and the engine always ``reseed``s the copy before its
     next ``run``. So after ``a.copy_from(src); a.reseed(s)`` and
@@ -37,6 +42,18 @@ class Model(ABC):
     @abstractmethod
     def run(self, target_time: float) -> None:
         """Advance the state to ``target_time`` on the current stream."""
+
+    @classmethod
+    def run_many(cls, models: Sequence["Model"], target_time: float) -> None:
+        """Advance every instance in ``models`` to ``target_time``.
+
+        The default calls each instance's ``run`` in turn. An override may
+        advance the batch at once, for a lower per-call cost, but must
+        leave each instance's draws unchanged and call the ``run`` of any
+        instance whose class or instance replaces the one it batches.
+        """
+        for model in models:
+            model.run(target_time)
 
     @abstractmethod
     def log_observe(self, data: Mapping[str, Any]) -> float:

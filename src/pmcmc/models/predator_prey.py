@@ -21,11 +21,18 @@ which the engine relies on for particle replication and reseeding. It is
 the contract: every step makes exactly these four draws, in this order and
 with these sizes, zero-size blocks included, whatever their outcome.
 
-``ibm_advance`` is the one stepping kernel. The model's ``run``, the
-synthesizer and ``ibm_step`` (one step) all go through it. It folds
+``ibm_advance`` is the stepping kernel of one census. The model's ``run``,
+the synthesizer and ``ibm_step`` (one step) all go through it. It folds
 predation and death into one keep mask, so the census compacts once per
 step, and it never writes into the arrays of the state it is given: the
 caller, ``PredatorPreyModel.state`` or a test may still hold them.
+
+``ibm_advance_many`` is the same step over a batch of censuses, laid end
+to end in one set of arrays, so the per-call cost of every array
+operation is paid once per batch instead of once per census. Each census
+still makes its own four draws from its own stream. It wins on small
+censuses and loses on large ones, so ``PredatorPreyModel.run_many`` sends
+only censuses of at most ``BATCH_CENSUS_LIMIT`` individuals through it.
 
 Counts are observed through a Poisson counting-error model restricted to
 detectable individuals (mass >= ``detection_mass``).
@@ -66,6 +73,7 @@ __all__ = [
     "PredatorPreyModel",
     "death_probability",
     "ibm_advance",
+    "ibm_advance_many",
     "ibm_log_observe",
     "ibm_step",
     "ibm_synthesize",
@@ -166,31 +174,31 @@ class IbmState:
     def __len__(self) -> int:
         return self.species.size
 
-    def count(self, species: int) -> int:
-        return int((self.species == species).sum())
 
-    def detectable_count(self, species: int, detection_mass: float) -> int:
-        return int(((self.species == species) & (self.mass >= detection_mass)).sum())
-
-
-def death_probability(count: int, base_rate: float, crowd_rate: float,
-                      half_saturation: float, area: float = 1.0) -> float:
+def death_probability(count, base_rate: float, crowd_rate: float,
+                      half_saturation: float, area: float = 1.0):
     """Per-step death probability of one individual of a species with
     ``count`` conspecifics: the base rate plus a crowding term that
     saturates as the species' density ``count/area`` exceeds the
     half-saturation constant. Clipped into [0, 1].
+
+    ``count`` may be an integer array, one count per census; each element
+    of the result then equals the scalar call on that count.
     """
     density = count / area
     p = base_rate + crowd_rate * density / (density + half_saturation)
-    return min(max(p, 0.0), 1.0)
+    if isinstance(p, float):
+        return min(max(p, 0.0), 1.0)
+    return np.clip(p, 0.0, 1.0)
 
 
 def ibm_advance(state: IbmState, target: int, params: IbmParameters,
                 rng: np.random.Generator) -> IbmState:
     """Advance the census to step ``target`` using the documented draw order.
 
-    This is the one stepping kernel: the model, the synthesizer and
-    ``ibm_step`` all advance through it. It never writes into the arrays
+    This is the kernel of one census: the model's ``run``, the synthesizer
+    and ``ibm_step`` advance through it, and ``ibm_advance_many`` must
+    match it census by census. It never writes into the arrays
     of ``state``, which its caller may still hold; with no step to take it
     returns ``state`` itself.
     """
@@ -260,6 +268,99 @@ def ibm_advance(state: IbmState, target: int, params: IbmParameters,
     return IbmState(pred.view(np.uint8), adult.view(np.uint8), mass, target)
 
 
+def ibm_advance_many(states: Sequence[IbmState], target: int, params: IbmParameters,
+                     rngs: Sequence[np.random.Generator]) -> list[IbmState]:
+    """Advance a batch of censuses, all at one step, to step ``target``.
+
+    Element i of the result equals ``ibm_advance(states[i], target,
+    params, rngs[i])`` bit for bit, and leaves ``rngs[i]`` at the same
+    position: census i makes its four draws a step from ``rngs[i]`` in
+    the documented order and sizes. The censuses are concatenated, and
+    growth, maturation, the keep mask, compaction and births run once
+    per step over the whole batch. It never writes into the arrays of
+    ``states``; with no step to take it returns them.
+    """
+    if len(states) != len(rngs):
+        raise ValidationError(f"{len(states)} censuses but {len(rngs)} streams")
+    if not states:
+        return []
+    start = states[0].step
+    if any(state.step != start for state in states):
+        raise ValidationError("batched censuses must share one step")
+    if target < start:
+        raise ValidationError(f"target step must be >= {start}, got {target}")
+    if target == start:
+        return list(states)
+    growth, maturation = params.growth_increment, params.maturation_mass
+    log_spare = math.log1p(-params.encounter_rate)
+    k = len(states)
+    # row r of census i has code[r] == 2 * i + species, census i being a
+    # contiguous run of rows in stored order; per-census pairs share the index
+    pairs = np.arange(2 * k)
+    code = (np.repeat(pairs[0::2], [len(state) for state in states])
+            + (np.concatenate([state.species for state in states]) == PREDATOR))
+    adult = np.concatenate([state.stage for state in states]) == ADULT
+    mass = np.concatenate([state.mass for state in states])
+    thresholds = np.empty(2 * k)
+    for _ in range(target - start):
+        # 1. growth, 2. maturation (juvenile -> adult only); the arrays
+        # are this call's own
+        mass += growth
+        adult |= mass >= maturation
+
+        # 3. predation: each census draws its uniform block whatever the
+        # outcome; one without predators has consume_p == 0, sparing all
+        counts = np.bincount(code, minlength=2 * k)
+        n_prey, n_pred = counts[0::2].tolist(), counts[1::2].tolist()
+        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, n_prey)])
+        consume_p = [-math.expm1(log_spare * (n / params.pred_area)) for n in n_pred]
+        prey = (code & 1) == 0
+        alive = ~prey
+        alive[prey] = u >= np.repeat(consume_p, n_prey)
+        alive_code = code[alive]
+        spared = np.bincount(alive_code, minlength=2 * k)[0::2]
+
+        # 4. density-dependent death over the survivors, folded with
+        # predation into one keep mask
+        thresholds[0::2] = death_probability(spared, params.prey_base_death, params.prey_crowd_death,
+                                             params.K_prey, params.prey_area)
+        thresholds[1::2] = death_probability(counts[1::2], params.pred_base_death,
+                                             params.pred_crowd_death, params.K_pred, params.pred_area)
+        v = np.concatenate([rng.random(a + b) for rng, a, b in zip(rngs, spared.tolist(), n_pred)])
+        keep = np.zeros(mass.size, dtype=bool)
+        keep[alive] = v >= thresholds[alive_code]
+        code, adult, mass = code[keep], adult[keep], mass[keep]
+
+        # 5. reproduction: one Poisson per adult, prey block first
+        adults = np.bincount(code[adult], minlength=2 * k)
+        n_adult = adults.tolist()
+        litters = np.concatenate([
+            litter
+            for i, rng in enumerate(rngs)
+            for litter in (rng.poisson(params.prey_birth_rate, n_adult[2 * i]),
+                           rng.poisson(params.pred_birth_rate, n_adult[2 * i + 1]))])
+        births = np.bincount(np.repeat(pairs, adults), weights=litters, minlength=2 * k).astype(np.int64)
+        if births.any():
+            # each census's offspring follow its survivors, prey then
+            # predators, as juveniles
+            runs = np.empty(2 * k, dtype=np.int64)
+            runs[0::2] = np.bincount(code >> 1, minlength=k)
+            runs[1::2] = births[0::2] + births[1::2]
+            newborn = np.repeat((pairs & 1) == 1, runs)
+            old = ~newborn
+            grown_mass = np.full(newborn.size, params.juvenile_mass)
+            grown_mass[old] = mass
+            grown_adult = np.zeros(newborn.size, dtype=bool)
+            grown_adult[old] = adult
+            grown_code = np.empty(newborn.size, dtype=code.dtype)
+            grown_code[old] = code
+            grown_code[newborn] = np.repeat(pairs, births)
+            code, adult, mass = grown_code, grown_adult, grown_mass
+    bounds = [0, *np.cumsum(np.bincount(code >> 1, minlength=k)).tolist()]
+    species, stage = (code & 1).astype(np.uint8), adult.view(np.uint8)
+    return [IbmState(species[a:b], stage[a:b], mass[a:b], target) for a, b in zip(bounds, bounds[1:])]
+
+
 def ibm_step(state: IbmState, params: IbmParameters, rng: np.random.Generator) -> IbmState:
     """Advance the census one step: ``ibm_advance`` to the next step."""
     return ibm_advance(state, state.step + 1, params, rng)
@@ -322,6 +423,14 @@ def ibm_synthesize(
     return ObservationSeries(tuple(int(t) for t in times), tuple(records))
 
 
+# Largest census, and smallest group of censuses, that
+# ``PredatorPreyModel.run_many`` advances in a batch: the batched kernel
+# is faster up to about this census size and slower above it, and slower
+# for fewer censuses (see CHANGES.md for the measurement). Desk censuses
+# sit far below the size, full-scale ones far above.
+BATCH_CENSUS_LIMIT = 500
+BATCH_MIN_CENSUSES = 4
+
 # Small setup: ~100 prey / ~10 predators, tuned for second-scale test runs.
 DESK_DEFAULTS = IbmParameters()
 
@@ -350,13 +459,40 @@ class PredatorPreyModel(Model):
         self._state = IbmState.initial(self._initial[0], self._initial[1], self._params.maturation_mass)
         self._rng = make_stream(seed)
 
-    def run(self, target_time: float) -> None:
+    def _target(self, target_time: float) -> int:
         if self._state is None:
             raise ValidationError("model not initialized")
         target = int(target_time)
         if target != target_time or target < self._state.step:
             raise ValidationError(f"target time must be an integer >= {self._state.step}, got {target_time!r}")
-        self._state = ibm_advance(self._state, target, self._params, self._rng)
+        return target
+
+    def run(self, target_time: float) -> None:
+        self._state = ibm_advance(self._state, self._target(target_time), self._params, self._rng)
+
+    @classmethod
+    def run_many(cls, models: Sequence[Model], target_time: float) -> None:
+        """Advance censuses of at most ``BATCH_CENSUS_LIMIT`` individuals
+        together, grouped by rates and step, through ``ibm_advance_many``.
+        Larger censuses, groups of fewer than ``BATCH_MIN_CENSUSES``, and
+        any instance whose ``run`` is not this class's advance alone."""
+        batches: dict = {}
+        for model in models:
+            if (getattr(model.run, "__func__", None) is PredatorPreyModel.run
+                    and len(model.state) <= BATCH_CENSUS_LIMIT):
+                model._target(target_time)          # the checks of run
+                batches.setdefault((model._params, model.state.step), []).append(model)
+            else:
+                model.run(target_time)
+        for (params, _step), batch in batches.items():
+            if len(batch) < BATCH_MIN_CENSUSES:
+                for model in batch:
+                    model.run(target_time)
+                continue
+            states = ibm_advance_many([model._state for model in batch], int(target_time), params,
+                                      [model._rng for model in batch])
+            for model, state in zip(batch, states):
+                model._state = state
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         if self._state is None:

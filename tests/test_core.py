@@ -94,6 +94,23 @@ class TestSeedHierarchy:
             np.testing.assert_array_equal(built["state"]["key"], expected["state"]["key"])
             assert built["buffer_pos"] == expected["buffer_pos"]
 
+    def test_make_stream_equals_keyed_construction(self):
+        """Built from the fixed seed sequence and rekeyed, a stream has the
+        state and the draws of ``Philox(key=seed)``."""
+        for seed in (0, 1, 2**63, 2**64 - 1):
+            built = make_stream(seed)
+            keyed = np.random.Generator(np.random.Philox(key=seed))
+            a, b = built.bit_generator.state, keyed.bit_generator.state
+            assert a.keys() == b.keys() and a["state"].keys() == b["state"].keys()
+            for name in ("counter", "key"):
+                np.testing.assert_array_equal(a["state"][name], b["state"][name])
+                assert a["state"][name].dtype == b["state"][name].dtype
+            np.testing.assert_array_equal(a["buffer"], b["buffer"])
+            assert [a[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")] == \
+                [b[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")]
+            assert built.random(8).tolist() == keyed.random(8).tolist()
+            assert built.integers(0, 2**32, 5).tolist() == keyed.integers(0, 2**32, 5).tolist()
+
     def test_state_assignment_equals_fresh_stream(self):
         g1 = make_stream(987654321)
         g2 = make_stream(0)

@@ -298,6 +298,26 @@ def _live():
     return threading.active_count(), len(multiprocessing.active_children())
 
 
+def _tamper_routing(monkeypatch, slices):
+    """Swap the master's routing for one whose ``slice_table`` hands each
+    rank in ``slices`` the listed rows instead of its own."""
+    computed = pmcmc.executor.compute_routing
+
+    class Tampered(Routing):
+        __slots__ = ()
+
+        def slice_table(self, worker=None):
+            if worker in slices:
+                return np.array(slices[worker], dtype=np.int32)
+            return super().slice_table(worker)
+
+    def tampered(counts, worker_of, W):
+        routing = computed(counts, worker_of, W)
+        return Tampered(routing.lineage, routing.source, routing.destination, routing.W_max)
+
+    monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
+
+
 @needs_fork
 class TestFaultInjection:
     """One rank fails while the other survives (p=4, W=2: lineages 0, 1
@@ -349,21 +369,7 @@ class TestFaultInjection:
          4.0, 1, "10(d)/receive[1]", "unsolicited transfer of lineage 0 from worker 0"),
     ], ids=["foreign-transfer", "non-resident-lineage", "missing-transfer", "unsolicited-transfer"])
     def test_routing_fault(self, monkeypatch, slices, timeout, rank, step, words):
-        computed = pmcmc.executor.compute_routing
-
-        class Tampered(Routing):
-            __slots__ = ()
-
-            def slice_table(self, worker=None):
-                if worker in slices:
-                    return np.array(slices[worker], dtype=np.int32)
-                return super().slice_table(worker)
-
-        def tampered(counts, worker_of, W):
-            routing = computed(counts, worker_of, W)
-            return Tampered(routing.lineage, routing.source, routing.destination, routing.W_max)
-
-        monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
+        _tamper_routing(monkeypatch, slices)
         before = _live()
         started = time.perf_counter()
         with pytest.raises(ProtocolError) as info:
@@ -373,6 +379,41 @@ class TestFaultInjection:
         assert (info.value.rank, info.value.step) == (rank, step)
         assert words in str(info.value)
         assert _live() == before
+
+
+    def test_missing_transfer_names_the_receiver(self, monkeypatch):
+        """The receiving worker's transfer wait ends inside the master's
+        gather deadline, so the fault is reported at step 10(d) every
+        time, not as a gather timeout for the next event."""
+        _tamper_routing(monkeypatch, {1: ((0, 0, 1, 2), (3, 1, 1, 3))})
+        before = _live()
+        for _ in range(20):
+            started = time.perf_counter()
+            with pytest.raises(ProtocolError) as info:
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
+                                    resampler=_identity_resampler, timeout=0.2)
+            assert time.perf_counter() - started < 1.0
+            assert (info.value.rank, info.value.step) == (1, "10(d)/receive[1]")
+            assert "missing expected transfers [(0, 0)]" in str(info.value)
+            assert _live() == before
+
+
+class _BatchCounted(LinearGaussianModel):
+    batches: list = []
+
+    @classmethod
+    def run_many(cls, models, target_time):
+        cls.batches.append((len(models), target_time))
+        super().run_many(models, target_time)
+
+
+class TestBatchedAdvance:
+    def test_one_call_per_event_for_all_residents(self):
+        _BatchCounted.batches = []
+        batched = run_particle_filter(_BatchCounted, _THETA, _OBS, 8, 1, chain_index=2)
+        assert _BatchCounted.batches == [(8, t) for t in _OBS.times]
+        plain = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1, chain_index=2)
+        assert batched.estimate.log_value == plain.estimate.log_value
 
 
 class TestLaunchers:

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcmc.core import Parameters, ValidationError, make_stream
-from pmcmc.models import PredatorPreyModel, check_state_roundtrip
+from pmcmc.models import PredatorPreyModel, check_state_roundtrip, predator_prey
 from pmcmc.models.predator_prey import (
     ADULT,
+    BATCH_CENSUS_LIMIT,
     DESK_DEFAULTS,
     DETECTION_EPSILON,
     FULL_SCALE_DEFAULTS,
@@ -20,6 +23,7 @@ from pmcmc.models.predator_prey import (
     IbmState,
     death_probability,
     ibm_advance,
+    ibm_advance_many,
     ibm_log_observe,
     ibm_step,
     ibm_synthesize,
@@ -154,6 +158,149 @@ class TestKernelBitIdentity:
             ibm_advance(ibm_step(state, DESK_DEFAULTS, rng), 0, DESK_DEFAULTS, rng)
 
 
+@st.composite
+def _censuses(draw):
+    """A census of 0-400 individuals with random species, stage and mass,
+    or an empty, prey-only, predator-only or all-juvenile one."""
+    kind = draw(st.sampled_from(["mixed", "empty", "prey-only", "predators-only", "all-juvenile"]))
+    n = 0 if kind == "empty" else draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    species = rng.integers(0, 2, n)
+    if kind in ("prey-only", "predators-only"):
+        species[:] = PREY if kind == "prey-only" else PREDATOR
+    stage = np.zeros(n, int) if kind == "all-juvenile" else rng.integers(0, 2, n)
+    return _state(species, stage, rng.uniform(0.0, 2.0, n), step=3)
+
+
+def _batch(params, starts, seed):
+    """Initialized models holding the given censuses, on streams seed, seed+1, ..."""
+    models = []
+    for i, start in enumerate(starts):
+        model = PredatorPreyModel(params)
+        model.init(Parameters({}), seed + i)
+        model._state = start
+        models.append(model)
+    return models
+
+
+class TestRunMany:
+    """``PredatorPreyModel.run_many`` against the reference stepper, and
+    the rules of the batched path."""
+
+    @given(starts=st.lists(_censuses(), min_size=1, max_size=40),
+           params=st.sampled_from([DESK_DEFAULTS, FULL_SCALE_DEFAULTS]),
+           steps=st.integers(1, 15), seed=st.integers(0, 2**63))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_step(self, starts, params, steps, seed):
+        snapshots = [_census_bytes(start) for start in starts]
+        models = _batch(params, starts, seed)
+        PredatorPreyModel.run_many(models, 3 + steps)
+        # the kernel itself, for batches below the run_many minimum too
+        streams = [make_stream(seed + i) for i in range(len(starts))]
+        direct = ibm_advance_many(starts, 3 + steps, params, streams)
+        for i, start in enumerate(starts):
+            reference, rng = start, make_stream(seed + i)
+            for _ in range(steps):
+                reference = _reference_step(reference, params, rng)
+            expected_draws = rng.random(4)
+            assert _census_bytes(models[i].state) == _census_bytes(reference)
+            assert _census_bytes(direct[i]) == _census_bytes(reference)
+            np.testing.assert_array_equal(models[i]._rng.random(4), expected_draws)
+            np.testing.assert_array_equal(streams[i].random(4), expected_draws)
+        assert [_census_bytes(start) for start in starts] == snapshots
+
+    def test_mixed_batch_matches_run(self, monkeypatch):
+        """Groups of rates and steps, a census above the size limit and a
+        group below the batch minimum in one call: each instance saves
+        what ``run`` leaves, and only the three full groups are batched."""
+        big = IbmState.initial(2000, 30, 1.0)
+        assert len(big) > BATCH_CENSUS_LIMIT
+        tuned = Parameters({"K_prey": 40.0})
+        setups = ([(DESK_DEFAULTS, Parameters({}), IbmState.initial(100, 10, 1.0), 0)] * 4
+                  + [(DESK_DEFAULTS, tuned, IbmState.initial(40, 5, 1.0), 0)] * 5
+                  + [(DESK_DEFAULTS, tuned, IbmState.initial(0, 0, 1.0), 2)] * 4
+                  + [(FULL_SCALE_DEFAULTS, Parameters({}), big, 0)]
+                  + [(DESK_DEFAULTS, Parameters({}), IbmState.initial(60, 6, 1.0), 3)] * 2)
+
+        def build():
+            models = []
+            for i, (defaults, theta, start, at) in enumerate(setups):
+                model = PredatorPreyModel(defaults)
+                model.init(theta, 7 + i)
+                model._state = start
+                model.run(at)
+                models.append(model)
+            return models
+
+        batched, alone = build(), build()
+        kernel, sizes = predator_prey.ibm_advance_many, []
+
+        def recorded(states, target, params, rngs):
+            sizes.append(len(states))
+            return kernel(states, target, params, rngs)
+
+        monkeypatch.setattr(predator_prey, "ibm_advance_many", recorded)
+        PredatorPreyModel.run_many(batched, 9)
+        assert sizes == [4, 5, 4]
+        for model in alone:
+            model.run(9)
+        assert [m.save() for m in batched] == [m.save() for m in alone]
+
+    def test_hundreds_of_censuses(self):
+        """Census indices well past the range of the uint8 species codes."""
+        starts = [IbmState.initial(n % 7, n % 3, 1.0) for n in range(300)]
+        batched = ibm_advance_many(starts, 4, DESK_DEFAULTS, [make_stream(s) for s in range(300)])
+        for s, (start, state) in enumerate(zip(starts, batched)):
+            rng = make_stream(s)
+            assert _census_bytes(state) == _census_bytes(ibm_advance(start, 4, DESK_DEFAULTS, rng))
+
+    def test_own_run_is_never_bypassed(self):
+        class Counted(PredatorPreyModel):
+            calls = 0
+
+            def run(self, target_time):
+                Counted.calls += 1
+                super().run(target_time)
+
+        models = _batch(DESK_DEFAULTS, [IbmState.initial(100, 10, 1.0)] * 3, 5)
+        counted = Counted()
+        counted.init(Parameters({}), 5)
+        patched = models[1]
+        patched.run = lambda target_time: None        # an instance's own run
+        PredatorPreyModel.run_many([models[0], counted, patched, models[2]], 4)
+        assert Counted.calls == 1
+        assert counted.state.step == 4 and models[0].state.step == 4
+        assert patched.state.step == 0
+        reference = _batch(DESK_DEFAULTS, [IbmState.initial(100, 10, 1.0)], 5)[0]
+        reference.run(4)
+        assert counted.save() == reference.save()
+
+    def test_run_validation_applies(self):
+        models = _batch(DESK_DEFAULTS, [IbmState.initial(10, 2, 1.0)] * 2, 0)
+        PredatorPreyModel.run_many(models, 3)
+        with pytest.raises(ValidationError):
+            PredatorPreyModel.run_many(models, 2)
+        with pytest.raises(ValidationError):
+            PredatorPreyModel.run_many(models, 3.5)
+        with pytest.raises(ValidationError):
+            PredatorPreyModel.run_many([PredatorPreyModel()], 1)
+        PredatorPreyModel.run_many([], 1)
+
+    def test_kernel_edges(self):
+        rngs = [make_stream(0), make_stream(1)]
+        states = [IbmState.initial(10, 2, 1.0), IbmState.initial(3, 0, 1.0)]
+        assert ibm_advance_many([], 4, DESK_DEFAULTS, []) == []
+        same = ibm_advance_many(states, 0, DESK_DEFAULTS, rngs)
+        assert all(a is b for a, b in zip(same, states))
+        with pytest.raises(ValidationError):
+            ibm_advance_many(states, 2, DESK_DEFAULTS, rngs[:1])
+        with pytest.raises(ValidationError):
+            ibm_advance_many([states[0], ibm_step(states[1], DESK_DEFAULTS, rngs[1])], 2,
+                             DESK_DEFAULTS, rngs)
+        with pytest.raises(ValidationError):
+            ibm_advance_many(ibm_advance_many(states, 2, DESK_DEFAULTS, rngs), 1, DESK_DEFAULTS, rngs)
+
+
 class TestStepReplay:
     def test_frozen_one_step_census(self):
         """One step from 100 adult prey and 10 adult predators, stream
@@ -164,12 +311,13 @@ class TestStepReplay:
         26 prey and 1 predator juveniles are born."""
         state = ibm_step(IbmState.initial(100, 10, mass=1.0), DESK_DEFAULTS, make_stream(1234))
         assert state.step == 1
-        assert state.count(PREY) == 114
-        assert state.count(PREDATOR) == 10
+        assert np.count_nonzero(state.species == PREY) == 114
+        assert np.count_nonzero(state.species == PREDATOR) == 10
         assert int((state.stage == JUVENILE).sum()) == 27
         assert int((state.stage == ADULT).sum()) == 97
-        assert state.detectable_count(PREY, DESK_DEFAULTS.detection_mass) == 88
-        assert state.detectable_count(PREDATOR, DESK_DEFAULTS.detection_mass) == 9
+        detectable = state.species[state.mass >= DESK_DEFAULTS.detection_mass]
+        assert np.count_nonzero(detectable == PREY) == 88
+        assert np.count_nonzero(detectable == PREDATOR) == 9
 
     def test_replay_is_deterministic(self):
         a = ibm_step(IbmState.initial(100, 10, mass=1.0), DESK_DEFAULTS, make_stream(1234))
@@ -193,7 +341,8 @@ class TestStepReplay:
                               prey_crowd_death=0.0, pred_crowd_death=0.0,
                               prey_birth_rate=0.0, pred_birth_rate=0.0)
         state = ibm_step(IbmState.initial(0, 5, mass=1.0), quiet, make_stream(3))
-        assert state.count(PREDATOR) == 5 and state.count(PREY) == 0
+        assert np.count_nonzero(state.species == PREDATOR) == 5
+        assert np.count_nonzero(state.species == PREY) == 0
 
     def test_deterministic_growth_and_maturation(self):
         """With every stochastic rate at zero a juvenile just grows by the
@@ -240,6 +389,12 @@ class TestDeathProbability:
     def test_clipped_to_unit_interval(self):
         assert death_probability(10**9, 0.9, 0.5, 1.0, 1.0) == 1.0
         assert death_probability(0, 0.0, 0.5, 1.0, 1.0) == 0.0
+
+    def test_array_counts_match_scalar_calls(self):
+        counts = np.array([0, 1, 7, 100, 2000, 10**9])
+        for rates in ((0.02, 0.2, 25.0, 4.0), (0.9, 0.5, 1.0, 1.0), (0.0, 0.5, 1.0, 1.0)):
+            assert death_probability(counts, *rates).tolist() == [
+                death_probability(n, *rates) for n in counts.tolist()]
 
     def test_area_rescales_density(self):
         # same density, same probability: count and area scaled together
