@@ -204,7 +204,8 @@ class _WorkerRuntime:
                     raise ProtocolError(f"unexpected command {type(command).__name__}",
                                         rank=self.rank, step=step)
         except ProtocolError as exc:
-            self.reports.send(ErrorReport(self.rank, exc.step or step, str(exc)))
+            # the master re-raises with rank and step, so send the bare message
+            self.reports.send(ErrorReport(self.rank, exc.step or step, exc.message))
         except Exception as exc:
             self.reports.send(ErrorReport(self.rank, step, f"{type(exc).__name__}: {exc}"))
 
@@ -255,7 +256,7 @@ class _WorkerRuntime:
         deadline = monotonic() + _TRANSFER_SHARE * self.timeout      # for every inbound transfer
         # rows (lineage, source, destination, new_id), sorted so that every
         # group below lists its new ids, and the groups their keys, ascending
-        table = np.asarray(command.entries, dtype=np.int64).reshape(-1, 4)
+        table = command.entries.astype(np.int64)
         table = table[np.lexsort(table.T[::-1])]
         from_here = table[:, 1] == self.rank
         to_here = table[:, 2] == self.rank
@@ -430,8 +431,6 @@ def run_particle_filter(
     *,
     chain_index: int = 0,
     sample_index: int = 0,
-    resampler: Callable = resample_multinomial,
-    transfer_delay: float = 0.0,
     timeout: float = DEFAULT_TIMEOUT,
     worker_dependent_seed_fault: bool = False,
 ) -> FilterResult:
@@ -442,14 +441,20 @@ def run_particle_filter(
     callable, a closure included, but what it changes (counters, globals,
     caches) stays in the worker process and is not visible to the caller.
 
+    After every event but the last the master draws multinomial replica
+    counts (``resample_multinomial``) from the event's resampling stream.
+    ``timeout`` is the longest wait, in seconds, for any one report from
+    the workers; a worker allows twice that for its next command.
+
     ``worker_dependent_seed_fault`` deliberately mixes the worker count
     into the resampling seed; the verification suite uses it to prove the
     worker-count invariance check can fail.
     """
-    if ensemble_size < 1:
-        raise ValidationError(f"ensemble size must be >= 1, got {ensemble_size}")
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
+    for name, value in (("ensemble size", ensemble_size), ("worker count", workers)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0.0 < timeout < math.inf:
+        raise ValidationError(f"timeout must be a positive finite number of seconds, got {timeout!r}")
     if not isinstance(observations, ObservationSeries):
         raise ValidationError("observations must be an ObservationSeries")
     if not isinstance(parameters, Parameters):
@@ -460,7 +465,7 @@ def run_particle_filter(
     context = _fork_context() if workers >= 2 else None
     commands = [Channel(context=context) for _ in range(workers)]
     reports = Channel(context=context)
-    inboxes = [Channel(delay=transfer_delay, context=context) for _ in range(workers)]
+    inboxes = [Channel(context=context) for _ in range(workers)]
     started: list = []      # worker threads or processes, by rank
 
     timings: list[StageTiming] = []
@@ -569,7 +574,7 @@ def run_particle_filter(
             seed = derive_seed(SeedKey(chain_index, sample_index, j, 0, RESAMPLE_STREAM))
             if worker_dependent_seed_fault:
                 seed ^= workers
-            counts = resampler(probs, p, seed)
+            counts = resample_multinomial(probs, p, seed)
             timings.append(StageTiming("resample", MASTER_RANK, sample_index, j,
                                        perf_counter() - t0))
             resample_counts.append(tuple(np.asarray(counts, dtype=np.int64).tolist()))

@@ -24,7 +24,6 @@ __all__ = [
     "normalize_weights",
     "redraw_rate",
     "resample_multinomial",
-    "resample_systematic",
 ]
 
 
@@ -47,25 +46,6 @@ def normalize_weights(weights: Sequence[float]) -> np.ndarray:
     return w / total
 
 
-def _validate_probs(probs: Sequence[float]) -> np.ndarray:
-    q = np.asarray(probs, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise ValidationError("probabilities must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(q)) or np.any(q < 0.0):
-        raise ValidationError("probabilities must be finite and >= 0")
-    if abs(q.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"probabilities must sum to 1, got {q.sum()!r}")
-    return q
-
-
-def _counts_from_points(q: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # inverse-CDF lookup: bin i covers (cum[i-1], cum[i]]; zero-width bins
-    # are skipped by side='right', the clip absorbs top-edge rounding
-    cum = np.cumsum(q)
-    idx = np.minimum(np.searchsorted(cum, points, side="right"), q.size - 1)
-    return np.bincount(idx, minlength=q.size)
-
-
 def resample_multinomial(probs: Sequence[float], p: int, seed: int) -> np.ndarray:
     """Multinomial replica counts for an ensemble of size p.
 
@@ -75,19 +55,19 @@ def resample_multinomial(probs: Sequence[float], p: int, seed: int) -> np.ndarra
     """
     if p < 1:
         raise ValidationError(f"ensemble size must be >= 1, got {p}")
-    q = _validate_probs(probs)
+    q = np.asarray(probs, dtype=np.float64)
+    if q.ndim != 1 or q.size == 0:
+        raise ValidationError("probabilities must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(q)) or np.any(q < 0.0):
+        raise ValidationError("probabilities must be finite and >= 0")
+    if abs(q.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"probabilities must sum to 1, got {q.sum()!r}")
     u = np.sort(make_stream(seed).random(p))
-    return _counts_from_points(q, u)
-
-
-def resample_systematic(probs: Sequence[float], p: int, seed: int) -> np.ndarray:
-    """Systematic (stratified single-offset) alternative behind the same
-    interface: one uniform offset spaced evenly across [0, 1)."""
-    if p < 1:
-        raise ValidationError(f"ensemble size must be >= 1, got {p}")
-    q = _validate_probs(probs)
-    offset = make_stream(seed).random()
-    return _counts_from_points(q, (offset + np.arange(p)) / p)
+    # inverse-CDF lookup: bin i covers (cum[i-1], cum[i]]; zero-width bins
+    # are skipped by side='right', the clip absorbs top-edge rounding
+    cum = np.cumsum(q)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), q.size - 1)
+    return np.bincount(idx, minlength=q.size)
 
 
 def redraw_rate(counts: Sequence[int]) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core import ObservationSeries, Parameters, ValidationError
-from .base import Model, check_state_roundtrip
+from .base import Model
 from .delay import DelayModel
 from .linear_gaussian import LinearGaussianModel, kalman_log_marginal, synthesize_linear_gaussian
 from .predator_prey import (
@@ -28,10 +28,8 @@ __all__ = [
     "Model",
     "ModelEntry",
     "build_model",
-    "check_state_roundtrip",
     "get_model_entry",
     "kalman_log_marginal",
-    "registered_models",
 ]
 
 
@@ -110,15 +108,11 @@ _REGISTRY: dict[str, ModelEntry] = {
 }
 
 
-def registered_models() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
 def get_model_entry(name: str) -> ModelEntry:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise ValidationError(f"unknown model {name!r}; registered: {', '.join(registered_models())}") from None
+        raise ValidationError(f"unknown model {name!r}; registered: {', '.join(sorted(_REGISTRY))}") from None
 
 
 def build_model(name: str, cfg: Mapping[str, Any]) -> Model:

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pickle
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..core import Parameters, SerializationError
 
-__all__ = ["Model", "RoundTripReport", "check_state_roundtrip", "decode_state_payload", "encode_state_payload"]
+__all__ = ["Model", "decode_state_payload", "encode_state_payload"]
 
 
 class Model(ABC):
@@ -97,36 +96,3 @@ def decode_state_payload(kind: str, state: bytes) -> dict:
     if not isinstance(raw, dict) or raw.get("kind") != kind or "payload" not in raw:
         raise SerializationError(f"state payload is not a serialized {kind!r} state")
     return raw["payload"]
-
-
-@dataclass(frozen=True)
-class RoundTripReport:
-    """Outcome of a save/load equivalence check."""
-
-    ok: bool
-    detail: str = ""
-
-
-def check_state_roundtrip(
-    original: Model,
-    blank: Model,
-    steps: list[tuple[float, int]],
-    data: Mapping[str, Any],
-) -> RoundTripReport:
-    """Verify the save/load contract on a pair of instances.
-
-    ``original`` is saved and restored into ``blank``; both are then
-    advanced through the same (target_time, seed) schedule, each step a
-    ``reseed`` then a ``run``, and their observation likelihoods compared.
-    The first diverging value is reported.
-    """
-    blank.load(original.save())
-    for idx, (target, seed) in enumerate(steps):
-        for model in (original, blank):
-            model.reseed(seed)
-            model.run(target)
-        a = original.log_observe(data)
-        b = blank.log_observe(data)
-        if a != b:
-            return RoundTripReport(False, f"log_observe diverged at step {idx}: {a!r} != {b!r}")
-    return RoundTripReport(True)

@@ -21,11 +21,11 @@ which the engine relies on for particle replication and reseeding. It is
 the contract: every step makes exactly these four draws, in this order and
 with these sizes, zero-size blocks included, whatever their outcome.
 
-``ibm_advance`` is the stepping kernel of one census. The model's ``run``,
-the synthesizer and ``ibm_step`` (one step) all go through it. It folds
-predation and death into one keep mask, so the census compacts once per
-step, and it never writes into the arrays of the state it is given: the
-caller, ``PredatorPreyModel.state`` or a test may still hold them.
+``ibm_advance`` is the stepping kernel of one census; the model's ``run``
+and the synthesizer both go through it. It folds predation and death into
+one keep mask, so the census compacts once per step, and it never writes
+into the arrays of the state it is given: the caller,
+``PredatorPreyModel.state`` or a test may still hold them.
 
 ``ibm_advance_many`` is the same step over a batch of censuses, laid end
 to end in one set of arrays, so the per-call cost of every array
@@ -40,6 +40,7 @@ detectable individuals (mass >= ``detection_mass``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Sequence
@@ -75,7 +76,6 @@ __all__ = [
     "ibm_advance",
     "ibm_advance_many",
     "ibm_log_observe",
-    "ibm_step",
     "ibm_synthesize",
 ]
 
@@ -196,11 +196,11 @@ def ibm_advance(state: IbmState, target: int, params: IbmParameters,
                 rng: np.random.Generator) -> IbmState:
     """Advance the census to step ``target`` using the documented draw order.
 
-    This is the kernel of one census: the model's ``run``, the synthesizer
-    and ``ibm_step`` advance through it, and ``ibm_advance_many`` must
-    match it census by census. It never writes into the arrays
-    of ``state``, which its caller may still hold; with no step to take it
-    returns ``state`` itself.
+    This is the kernel of one census: the model's ``run`` and the
+    synthesizer advance through it, and ``ibm_advance_many`` must match it
+    census by census. It never writes into the arrays of ``state``, which
+    its caller may still hold; with no step to take it returns ``state``
+    itself.
     """
     if target < state.step:
         raise ValidationError(f"target step must be >= {state.step}, got {target}")
@@ -361,11 +361,6 @@ def ibm_advance_many(states: Sequence[IbmState], target: int, params: IbmParamet
     return [IbmState(species[a:b], stage[a:b], mass[a:b], target) for a, b in zip(bounds, bounds[1:])]
 
 
-def ibm_step(state: IbmState, params: IbmParameters, rng: np.random.Generator) -> IbmState:
-    """Advance the census one step: ``ibm_advance`` to the next step."""
-    return ibm_advance(state, state.step + 1, params, rng)
-
-
 def _validate_counts(data: Mapping[str, Any]) -> dict:
     counts = {}
     for field in OBS_FIELDS:
@@ -439,6 +434,13 @@ DESK_DEFAULTS = IbmParameters()
 FULL_SCALE_DEFAULTS = replace(DESK_DEFAULTS, prey_area=80.0, pred_area=2.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _calibrated(defaults: IbmParameters, parameters: Parameters) -> IbmParameters:
+    """``defaults.with_calibrated(parameters)``, built and validated once
+    per pair in a process: a pass initializes every particle from one pair."""
+    return defaults.with_calibrated(parameters)
+
+
 class PredatorPreyModel(Model):
     """Engine adapter owning one realization's census, rates, and stream."""
 
@@ -455,7 +457,7 @@ class PredatorPreyModel(Model):
         self._rng = None
 
     def init(self, parameters: Parameters, seed: int) -> None:
-        self._params = self._defaults.with_calibrated(parameters)
+        self._params = _calibrated(self._defaults, parameters)
         self._state = IbmState.initial(self._initial[0], self._initial[1], self._params.maturation_mass)
         self._rng = make_stream(seed)
 

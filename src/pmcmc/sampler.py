@@ -170,15 +170,12 @@ def make_filter_evaluator(
     workers: int,
     *,
     chain_index: int = 0,
-    **filter_kwargs,
 ) -> Evaluator:
     """Likelihood evaluator backed by the parallel particle filter."""
 
     def evaluate(theta: Parameters, sample_index: int) -> Evaluation:
-        result = run_particle_filter(
-            model_factory, theta, observations, ensemble_size, workers,
-            chain_index=chain_index, sample_index=sample_index, **filter_kwargs,
-        )
+        result = run_particle_filter(model_factory, theta, observations, ensemble_size, workers,
+                                     chain_index=chain_index, sample_index=sample_index)
         estimate = result.estimate
         return Evaluation(estimate.log_value, estimate.log_std, result.diagnostics)
 
@@ -308,7 +305,6 @@ def run_chain(
     *,
     chain_index: int = 0,
     evaluator: Evaluator | None = None,
-    **filter_kwargs,
 ) -> list[ChainRecord]:
     """Run the MCMC chain and return every record, initial state included.
 
@@ -320,10 +316,8 @@ def run_chain(
         if model_factory is None or observations is None:
             raise ValidationError("run_chain needs a model factory and observations "
                                   "unless an evaluator is supplied")
-        evaluator = make_filter_evaluator(
-            model_factory, observations, settings.ensemble_size, settings.workers,
-            chain_index=chain_index, **filter_kwargs,
-        )
+        evaluator = make_filter_evaluator(model_factory, observations, settings.ensemble_size,
+                                          settings.workers, chain_index=chain_index)
 
     log_prior_initial = settings.prior.log_density(settings.initial)
     if log_prior_initial == -math.inf:

@@ -4,15 +4,13 @@ Every message crossing a channel is a versioned, byte-serialized payload,
 so the protocol logic is the same whichever queue carries it: an
 in-process ``queue.Queue`` between threads, or a ``multiprocessing``
 queue between forked worker processes. Sends never block; receives
-support timeouts and an optional artificial delivery delay used by tests
-to force transfer latency.
+take a timeout.
 """
 
 from __future__ import annotations
 
 import pickle
 import queue
-import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -59,12 +57,11 @@ class Advance:
 
 @dataclass(frozen=True)
 class RouteCommand:
-    """Step 9: this worker's slice of the routing, rows (lineage_id,
-    source, destination, new_lineage_id) as an (m, 4) integer array or,
-    equivalently, a tuple of 4-tuples."""
+    """Step 9: this worker's slice of the routing, an int32 (m, 4) array
+    of rows (lineage_id, source, destination, new_lineage_id)."""
 
     observation_index: int
-    entries: np.ndarray | tuple
+    entries: np.ndarray
     w_max: int
 
 
@@ -155,15 +152,11 @@ class Channel:
     Without ``context`` the channel is an in-process ``queue.Queue``; with a
     ``multiprocessing`` context it is that context's ``Queue``, usable from
     processes forked after the channel was made.
-
-    ``delay`` postpones delivery (not sending) by a fixed interval, which
-    tests use to assert that local work overlaps in-flight transfers.
     """
 
-    def __init__(self, delay: float = 0.0, context=None):
+    def __init__(self, context=None):
         self._shared = context is not None
         self._q = context.Queue() if self._shared else queue.Queue()
-        self._delay = float(delay)
 
     def close(self) -> None:
         """Flush what this process sent and stop its queue's feeder thread."""
@@ -178,14 +171,8 @@ class Channel:
             self._q.cancel_join_thread()
 
     def send(self, message) -> None:
-        # non-blocking: enqueue and return; visibility time enforced on receive
-        self._q.put((time.monotonic() + self._delay, encode_message(message)))
+        # non-blocking: enqueue and return
+        self._q.put(encode_message(message))
 
     def recv(self, timeout: float | None = None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        ready_at, payload = self._q.get(timeout=remaining)
-        wait = ready_at - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        return decode_message(payload)
+        return decode_message(self._q.get(timeout=timeout))

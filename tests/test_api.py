@@ -1,13 +1,37 @@
-"""Every name a pmcmc module lists in ``__all__`` exists."""
+"""Every name a pmcmc module lists in ``__all__`` exists, and every public
+function or class among them has a user."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import pmcmc
 
 MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc.__path__, "pmcmc."))
+
+ROOT = Path(pmcmc.__file__).resolve().parents[2]
+
+# Exported without a user until the run report (ROADMAP item 1) decides
+# whether it stays.
+UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
+
+
+def _loaded_names() -> set:
+    """Every name or attribute the package reads; imports and ``__all__``
+    strings are not reads."""
+    names = set()
+    for path in Path(pmcmc.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +41,23 @@ def test_all_names_exist(name):
     assert exported is not None, f"{name} has no __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+def test_every_public_callable_is_used():
+    """A public function or class is read somewhere in the package, or
+    named in the README or the benchmark."""
+    loaded = _loaded_names()
+    documents = [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
+    text = "\n".join(path.read_text() for path in documents)
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if attr in loaded or re.search(rf"\b{re.escape(attr)}\b", text):
+                continue
+            if f"{name}.{attr}" not in UNUSED_ALLOWED:
+                unused.append(f"{name}.{attr}")
+    assert not unused, f"public names nothing uses: {unused}"

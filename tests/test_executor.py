@@ -47,6 +47,26 @@ def _point_mass_resampler(probs, p, seed):
     return counts
 
 
+def _use_resampler(monkeypatch, resampler):
+    """Make the master draw its replica counts from ``resampler``."""
+    monkeypatch.setattr(pmcmc.executor, "resample_multinomial", resampler)
+
+
+class _SlowSaveModel(LinearGaussianModel):
+    """Linear-Gaussian model whose ``save`` takes 50 ms, so every state
+    sent between workers lands 50 ms after its sender began serializing."""
+
+    def save(self):
+        time.sleep(0.05)
+        return super().save()
+
+
+def _slice(*rows):
+    """A routing slice as the master sends it: int32 rows (lineage,
+    source, destination, new id)."""
+    return np.array(rows, dtype=np.int32).reshape(-1, 4)
+
+
 class TestWorkerLineages:
     def test_partition_covers_in_order(self):
         for p in (1, 5, 7, 16):
@@ -111,32 +131,31 @@ class TestWorkerCountInvariance:
 
 
 class TestRoutingThroughTheRuntime:
-    def test_identity_resampling_moves_nothing(self):
-        result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 4,
-                                     resampler=_identity_resampler)
+    def test_identity_resampling_moves_nothing(self, monkeypatch):
+        _use_resampler(monkeypatch, _identity_resampler)
+        result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 4)
         d = result.diagnostics
         assert d.resample_counts == ((1,) * 8,) * 3
         assert d.redraw_rates == (1.0, 1.0, 1.0)
         assert d.move_fractions == (0.0, 0.0, 0.0)
         assert d.copy_fractions == (0.0, 0.0, 0.0)
 
-    def test_point_mass_resampling_evicts_and_rebalances(self):
+    def test_point_mass_resampling_evicts_and_rebalances(self, monkeypatch):
         # p=4 on 2 workers, all mass on one lineage: each event ships one
         # state across and copies half the ensemble
-        result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
-                                     resampler=_point_mass_resampler)
+        _use_resampler(monkeypatch, _point_mass_resampler)
+        result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2)
         d = result.diagnostics
         assert d.redraw_rates == (0.25, 0.25, 0.25)
         assert d.move_fractions == (0.25, 0.25, 0.25)
         assert d.copy_fractions == (0.5, 0.5, 0.5)
         assert result.estimate.log_value < 0.0
 
-    def test_replication_overlaps_transfer_delay(self):
-        """With a 50 ms transfer latency the receiving worker must start
-        local replication before the inbound state lands."""
-        result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
-                                     resampler=_point_mass_resampler,
-                                     transfer_delay=0.05)
+    def test_replication_overlaps_transfer_delay(self, monkeypatch):
+        """When the sender takes 50 ms to serialize a state, the receiving
+        worker must start local replication before the state lands."""
+        _use_resampler(monkeypatch, _point_mass_resampler)
+        result = run_particle_filter(_SlowSaveModel, _THETA, _OBS, 4, 2)
         marks = result.diagnostics.marks
         assert marks == tuple(sorted(marks, key=lambda m: m[3]))
         starts = {(w, j): ts for w, name, j, ts in marks if name == "replicate-start"}
@@ -144,14 +163,6 @@ class TestRoutingThroughTheRuntime:
         assert len(completions) == 3
         for w, j, ts in completions:
             assert ts - starts[(w, j)] > 0.03
-
-    def test_transfer_delay_slows_nothing_else(self):
-        # identity resampling never transfers, so latency is irrelevant
-        import time
-        t0 = time.perf_counter()
-        run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
-                            resampler=_identity_resampler, transfer_delay=0.25)
-        assert time.perf_counter() - t0 < 0.25
 
 
 class TestDiagnostics:
@@ -202,6 +213,7 @@ class TestFailurePropagation:
         assert info.value.rank in (0, 1)
         assert info.value.step == "4/advance[1]"
         assert "numerical blowup" in str(info.value)
+        assert str(info.value).count("(rank ") == 1
 
     def test_nan_weight_rejected_at_observe_step(self):
         class NanModel(LinearGaussianModel):
@@ -211,6 +223,7 @@ class TestFailurePropagation:
         with pytest.raises(ProtocolError) as info:
             run_particle_filter(NanModel, _THETA, _OBS, 4, 2)
         assert info.value.step == "5/observe[1]"
+        assert str(info.value).count("(rank ") == 1
 
     def test_master_times_out_on_stuck_worker(self):
         def slow_factory():
@@ -219,12 +232,16 @@ class TestFailurePropagation:
         with pytest.raises(ProtocolError) as info:
             run_particle_filter(slow_factory, Parameters({}), _OBS, 2, 2, timeout=0.2)
         assert "timed out" in str(info.value)
+        assert str(info.value).count("(rank ") == 1
 
     def test_input_validation(self):
-        with pytest.raises(ValidationError):
-            run_particle_filter(LinearGaussianModel, _THETA, _OBS, 0, 1)
-        with pytest.raises(ValidationError):
-            run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 0)
+        for ensemble_size, workers, timeout in [
+            (0, 1, 1.0), (4, 0, 1.0), (4.0, 1, 1.0), (True, 1, 1.0), (4, 2.0, 1.0), (4, True, 1.0),
+            (4, 1, -1), (4, 1, 0.0), (4, 1, math.inf), (4, 1, math.nan), (4, 1, "5"), (4, 1, True),
+        ]:
+            with pytest.raises(ValidationError):
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, ensemble_size, workers,
+                                    timeout=timeout)
         with pytest.raises(ValidationError):
             run_particle_filter(LinearGaussianModel, {"a": 0.8}, _OBS, 4, 1)
         with pytest.raises(ValidationError):
@@ -339,6 +356,7 @@ class TestFaultInjection:
             run_particle_filter(lambda: _FaultyModel(fault, lineage), _THETA, _OBS, 4, 2, timeout=4.0)
         assert time.perf_counter() - started < 1.0
         assert (info.value.rank, info.value.step) == (rank, step)
+        assert str(info.value).count("(rank ") == 1
         assert _live() == before
 
     def test_stuck_worker(self):
@@ -350,6 +368,7 @@ class TestFaultInjection:
         assert (info.value.rank, info.value.step) == (1, "5/gather[1]")
         assert "timed out" in str(info.value)
         assert "ranks [1]" in str(info.value)
+        assert str(info.value).count("(rank ") == 1
         assert _live() == before
 
     # Whole-pass routing and transfer faults. Identity resampling keeps
@@ -369,15 +388,17 @@ class TestFaultInjection:
          4.0, 1, "10(d)/receive[1]", "unsolicited transfer of lineage 0 from worker 0"),
     ], ids=["foreign-transfer", "non-resident-lineage", "missing-transfer", "unsolicited-transfer"])
     def test_routing_fault(self, monkeypatch, slices, timeout, rank, step, words):
+        _use_resampler(monkeypatch, _identity_resampler)
         _tamper_routing(monkeypatch, slices)
         before = _live()
         started = time.perf_counter()
         with pytest.raises(ProtocolError) as info:
             run_particle_filter(lambda: DelayModel(delay_ms=50.0), Parameters({}), _OBS, 4, 2,
-                                resampler=_identity_resampler, timeout=timeout)
+                                timeout=timeout)
         assert time.perf_counter() - started < 1.0
         assert (info.value.rank, info.value.step) == (rank, step)
         assert words in str(info.value)
+        assert str(info.value).count("(rank ") == 1
         assert _live() == before
 
 
@@ -385,16 +406,17 @@ class TestFaultInjection:
         """The receiving worker's transfer wait ends inside the master's
         gather deadline, so the fault is reported at step 10(d) every
         time, not as a gather timeout for the next event."""
+        _use_resampler(monkeypatch, _identity_resampler)
         _tamper_routing(monkeypatch, {1: ((0, 0, 1, 2), (3, 1, 1, 3))})
         before = _live()
         for _ in range(20):
             started = time.perf_counter()
             with pytest.raises(ProtocolError) as info:
-                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
-                                    resampler=_identity_resampler, timeout=0.2)
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2, timeout=0.2)
             assert time.perf_counter() - started < 1.0
             assert (info.value.rank, info.value.step) == (1, "10(d)/receive[1]")
             assert "missing expected transfers [(0, 0)]" in str(info.value)
+            assert str(info.value).count("(rank ") == 1
             assert _live() == before
 
 
@@ -484,8 +506,7 @@ class TestPlacementSteps:
     def test_identity_slice_keeps_instances(self):
         rt = _runtime(0, 4, 2)
         before = dict(rt.particles)
-        entries = tuple((lin, 0, 0, lin) for lin in (0, 1))
-        rt._apply_routing(RouteCommand(1, entries, 2))
+        rt._apply_routing(RouteCommand(1, _slice((0, 0, 0, 0), (1, 0, 0, 1)), 2))
         assert set(rt.particles) == {0, 1}
         for lin in (0, 1):
             assert rt.particles[lin] is before[lin]
@@ -496,8 +517,7 @@ class TestPlacementSteps:
         donor.run(5)
         rt = _runtime(1, 8, 4)                  # resident lineages 2, 3
         rt.inbox.send(ParticleTransfer(0, 2, donor.save(), 0, 1))
-        entries = ((0, 0, 1, 2), (0, 0, 1, 3))
-        rt._apply_routing(RouteCommand(1, entries, 2))
+        rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2), (0, 0, 1, 3)), 2))
         assert set(rt.particles) == {2, 3}
         assert rt.particles[2].latent == donor.latent
         assert rt.particles[3].latent == donor.latent
@@ -505,8 +525,7 @@ class TestPlacementSteps:
 
     def test_full_eviction_leaves_no_residents(self):
         rt = _runtime(0, 4, 2)
-        entries = ((0, 0, 1, 0), (1, 0, 1, 1))
-        rt._apply_routing(RouteCommand(1, entries, 2))
+        rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 0), (1, 0, 1, 1)), 2))
         assert rt.particles == {}
         # both states were shipped to worker 1's inbox
         assert rt.peers[1].recv(0.1).lineage_id == 0
@@ -514,7 +533,7 @@ class TestPlacementSteps:
 
     def test_distinct_destination_pairs_travel_once(self):
         rt = _runtime(0, 4, 2)
-        entries = ((0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2), (1, 0, 0, 3))
+        entries = _slice((0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2), (1, 0, 0, 3))
         rt._apply_routing(RouteCommand(1, entries, 2))
         transfer = rt.peers[1].recv(0.1)
         assert transfer.lineage_id == 0 and transfer.new_lineage_id == 0
@@ -525,32 +544,32 @@ class TestPlacementSteps:
     def test_foreign_entry_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, ((2, 1, 1, 0),), 2))
+            rt._apply_routing(RouteCommand(1, _slice((2, 1, 1, 0)), 2))
         assert "foreign" in str(info.value)
 
     def test_non_resident_reference_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, ((3, 0, 0, 0),), 2))
+            rt._apply_routing(RouteCommand(1, _slice((3, 0, 0, 0)), 2))
         assert "non-resident" in str(info.value)
 
     def test_unsolicited_transfer_rejected(self):
         rt = _runtime(1, 8, 4)
         rt.inbox.send(ParticleTransfer(5, 2, b"", 0, 1))
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, ((0, 0, 1, 2),), 2))
+            rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2)), 2))
         assert "unsolicited" in str(info.value)
 
     def test_missing_transfer_times_out(self):
         rt = _runtime(1, 8, 4)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, ((0, 0, 1, 2),), 2))
+            rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2)), 2))
         assert info.value.step == "10(d)/receive[1]"
         assert "missing" in str(info.value)
 
     def test_capacity_breach_rejected(self):
         rt = _runtime(0, 4, 2)
-        entries = ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 2))
+        entries = _slice((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 2))
         with pytest.raises(ProtocolError) as info:
             rt._apply_routing(RouteCommand(1, entries, 2))
         assert info.value.step == "10(e)/prune[1]"
@@ -559,9 +578,9 @@ class TestPlacementSteps:
         # two runtimes arrive at the same new lineage id by different
         # placements; their streams must coincide afterwards
         rt_a = _runtime(0, 2, 1)
-        rt_a._apply_routing(RouteCommand(1, ((0, 0, 0, 0), (0, 0, 0, 1)), 2))
+        rt_a._apply_routing(RouteCommand(1, _slice((0, 0, 0, 0), (0, 0, 0, 1)), 2))
         rt_b = _runtime(0, 2, 1)
-        rt_b._apply_routing(RouteCommand(1, ((0, 0, 0, 1), (1, 0, 0, 0)), 2))
+        rt_b._apply_routing(RouteCommand(1, _slice((0, 0, 0, 1), (1, 0, 0, 0)), 2))
         a_draw = rt_a.particles[1]._rng.random()
         b_draw = rt_b.particles[1]._rng.random()
         assert a_draw == b_draw

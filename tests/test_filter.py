@@ -13,7 +13,6 @@ from pmcmc.filtering import (
     normalize_weights,
     redraw_rate,
     resample_multinomial,
-    resample_systematic,
 )
 
 
@@ -98,24 +97,6 @@ class TestMultinomialResampling:
             totals += resample_multinomial(probs, 25, seed)
         freq = totals / totals.sum()
         assert freq == pytest.approx(probs, abs=0.02)
-
-
-class TestSystematicResampling:
-    def test_counts_sum_to_p_and_low_variance(self):
-        # systematic counts can deviate from expectation by at most 1
-        probs = [0.125, 0.25, 0.5, 0.125]
-        for seed in range(30):
-            counts = resample_systematic(probs, 16, seed)
-            assert counts.sum() == 16
-            for c, q in zip(counts, probs):
-                assert abs(c - 16 * q) <= 1.0
-
-    def test_point_mass(self):
-        assert resample_systematic([0.0, 0.0, 1.0], 8, 1).tolist() == [0, 0, 8]
-
-    def test_deterministic(self):
-        a = resample_systematic([0.3, 0.7], 12, 5)
-        assert a.tolist() == resample_systematic([0.3, 0.7], 12, 5).tolist()
 
 
 class TestRedrawRate:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcmc.core import Parameters, ValidationError, make_stream
-from pmcmc.models import PredatorPreyModel, check_state_roundtrip, predator_prey
+from pmcmc.models import PredatorPreyModel, predator_prey
 from pmcmc.models.predator_prey import (
     ADULT,
     BATCH_CENSUS_LIMIT,
@@ -25,9 +25,9 @@ from pmcmc.models.predator_prey import (
     ibm_advance,
     ibm_advance_many,
     ibm_log_observe,
-    ibm_step,
     ibm_synthesize,
 )
+from roundtrip import assert_state_roundtrip
 
 
 def _state(species, stage, mass, step=0):
@@ -155,7 +155,7 @@ class TestKernelBitIdentity:
         rng = make_stream(0)
         assert ibm_advance(state, 0, DESK_DEFAULTS, rng) is state
         with pytest.raises(ValidationError):
-            ibm_advance(ibm_step(state, DESK_DEFAULTS, rng), 0, DESK_DEFAULTS, rng)
+            ibm_advance(ibm_advance(state, 1, DESK_DEFAULTS, rng), 0, DESK_DEFAULTS, rng)
 
 
 @st.composite
@@ -295,7 +295,7 @@ class TestRunMany:
         with pytest.raises(ValidationError):
             ibm_advance_many(states, 2, DESK_DEFAULTS, rngs[:1])
         with pytest.raises(ValidationError):
-            ibm_advance_many([states[0], ibm_step(states[1], DESK_DEFAULTS, rngs[1])], 2,
+            ibm_advance_many([states[0], ibm_advance(states[1], 1, DESK_DEFAULTS, rngs[1])], 2,
                              DESK_DEFAULTS, rngs)
         with pytest.raises(ValidationError):
             ibm_advance_many(ibm_advance_many(states, 2, DESK_DEFAULTS, rngs), 1, DESK_DEFAULTS, rngs)
@@ -309,7 +309,7 @@ class TestStepReplay:
         uniforms, mortality uniforms, one Poisson litter per adult):
         5 prey eaten, mortality leaves 88 prey and 9 predators, then
         26 prey and 1 predator juveniles are born."""
-        state = ibm_step(IbmState.initial(100, 10, mass=1.0), DESK_DEFAULTS, make_stream(1234))
+        state = ibm_advance(IbmState.initial(100, 10, mass=1.0), 1, DESK_DEFAULTS, make_stream(1234))
         assert state.step == 1
         assert np.count_nonzero(state.species == PREY) == 114
         assert np.count_nonzero(state.species == PREDATOR) == 10
@@ -320,8 +320,8 @@ class TestStepReplay:
         assert np.count_nonzero(detectable == PREDATOR) == 9
 
     def test_replay_is_deterministic(self):
-        a = ibm_step(IbmState.initial(100, 10, mass=1.0), DESK_DEFAULTS, make_stream(1234))
-        b = ibm_step(IbmState.initial(100, 10, mass=1.0), DESK_DEFAULTS, make_stream(1234))
+        a = ibm_advance(IbmState.initial(100, 10, mass=1.0), 1, DESK_DEFAULTS, make_stream(1234))
+        b = ibm_advance(IbmState.initial(100, 10, mass=1.0), 1, DESK_DEFAULTS, make_stream(1234))
         np.testing.assert_array_equal(a.species, b.species)
         np.testing.assert_array_equal(a.stage, b.stage)
         np.testing.assert_array_equal(a.mass, b.mass)
@@ -329,7 +329,7 @@ class TestStepReplay:
     def test_extinction_is_absorbing(self):
         rng = make_stream(7)
         before = rng.bit_generator.state
-        after_state = ibm_step(_state([], [], []), DESK_DEFAULTS, rng)
+        after_state = ibm_advance(_state([], [], []), 1, DESK_DEFAULTS, rng)
         assert len(after_state) == 0 and after_state.step == 1
         after = rng.bit_generator.state
         np.testing.assert_array_equal(before["state"]["counter"], after["state"]["counter"])
@@ -340,7 +340,7 @@ class TestStepReplay:
         quiet = IbmParameters(prey_base_death=0.0, pred_base_death=0.0,
                               prey_crowd_death=0.0, pred_crowd_death=0.0,
                               prey_birth_rate=0.0, pred_birth_rate=0.0)
-        state = ibm_step(IbmState.initial(0, 5, mass=1.0), quiet, make_stream(3))
+        state = ibm_advance(IbmState.initial(0, 5, mass=1.0), 1, quiet, make_stream(3))
         assert np.count_nonzero(state.species == PREDATOR) == 5
         assert np.count_nonzero(state.species == PREY) == 0
 
@@ -355,7 +355,7 @@ class TestStepReplay:
         rng = make_stream(0)
         expected = [(0.7, JUVENILE), (0.9, JUVENILE), (1.1, ADULT), (1.3, ADULT)]
         for mass, stage in expected:
-            state = ibm_step(state, quiet, rng)
+            state = ibm_advance(state, state.step + 1, quiet, rng)
             assert state.mass[0] == pytest.approx(mass, rel=1e-15)
             assert state.stage[0] == stage
         # detectable from mass 0.9 on, adult only from 1.1: the two
@@ -367,7 +367,7 @@ class TestStepReplay:
                               prey_crowd_death=0.0, pred_crowd_death=0.0,
                               prey_birth_rate=0.0, pred_birth_rate=0.0,
                               encounter_rate=0.0)
-        state = ibm_step(_state([PREY], [ADULT], [1.5]), quiet, make_stream(0))
+        state = ibm_advance(_state([PREY], [ADULT], [1.5]), 1, quiet, make_stream(0))
         assert state.stage[0] == ADULT
 
 
@@ -519,9 +519,7 @@ class TestPredatorPreyModel:
         model = PredatorPreyModel()
         model.init(Parameters({"K_prey": 25.0, "K_pred": 15.0}), seed=5)
         model.run(3)
-        report = check_state_roundtrip(
-            model, PredatorPreyModel(), [(5, 11), (8, 22)], {"prey": 90, "predator": 9})
-        assert report.ok, report.detail
+        assert_state_roundtrip(model, PredatorPreyModel(), [(5, 11), (8, 22)], {"prey": 90, "predator": 9})
 
     def test_calibrated_overlay_reaches_dynamics(self):
         model = PredatorPreyModel()

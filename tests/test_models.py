@@ -20,11 +20,11 @@ from pmcmc.models import (
     LinearGaussianModel,
     Model,
     PredatorPreyModel,
-    check_state_roundtrip,
     kalman_log_marginal,
     synthesize_linear_gaussian,
 )
 from pmcmc.models.base import decode_state_payload, encode_state_payload
+from roundtrip import assert_state_roundtrip
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -147,8 +147,7 @@ class TestLinearGaussianModel:
         m = LinearGaussianModel()
         m.init(Parameters({"a": 0.8}), seed=5)
         m.run(3)
-        report = check_state_roundtrip(m, LinearGaussianModel(), [(5, 10), (8, 20)], {"y": 0.4})
-        assert report.ok, report.detail
+        assert_state_roundtrip(m, LinearGaussianModel(), [(5, 10), (8, 20)], {"y": 0.4})
 
     def test_load_on_uninitialized_instance(self):
         m = LinearGaussianModel()
