@@ -41,6 +41,7 @@ from typing import Any, Mapping
 import yaml
 
 from .core import Parameters, ValidationError
+from .models import build_model
 from .sampler import LogNormalPrior, Prior, UniformPrior
 
 __all__ = ["CONFIG_VERSION", "EngineConfig", "Schedule", "load_config", "config_from_mapping"]
@@ -208,7 +209,8 @@ def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None)
         output_dir=_resolve(base, str(raw.get("output_dir", "."))),
         acceptance_window=_as_int(raw.get("acceptance_window", 20), "acceptance_window"),
     )
-    config.make_prior()     # fail early on a bad prior spec
+    config.make_prior()     # fail early on a bad prior spec or model section
+    build_model(config.model_name, config.model_config)
     return config
 
 

@@ -42,11 +42,32 @@ class ModelEntry:
     parse_value: Callable[[str, str], Any]
 
 
+def _check_keys(cfg: Mapping[str, Any], allowed: tuple[str, ...]) -> None:
+    unknown = [key for key in cfg if key not in allowed]
+    if unknown:
+        names = ", ".join(f"model.{key}" for key in sorted(unknown))
+        raise ValidationError(f"unknown keys {names}; this model takes {sorted(allowed)}")
+
+
+def _number(cfg: Mapping[str, Any], key: str, default, kind=float):
+    """``cfg[key]``, or ``default`` when absent, as a float or, with
+    ``kind=int``, as an integer that must be written as one."""
+    value = cfg.get(key, default)
+    try:
+        if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"model.{key} must be {noun}, got {value!r}") from None
+
+
 _LG_KEYS = ("a", "q", "r", "m0", "s0")
 
 
 def _lg_defaults(cfg: Mapping[str, Any]) -> dict:
-    return {k: float(cfg[k]) for k in _LG_KEYS if k in cfg}
+    _check_keys(cfg, _LG_KEYS)
+    return {k: _number(cfg, k, None) for k in _LG_KEYS if k in cfg}
 
 
 def _lg_factory(cfg: Mapping[str, Any]) -> Model:
@@ -64,19 +85,21 @@ def _lg_parse(field: str, text: str):
 _IBM_PROFILES = {"desk": DESK_DEFAULTS, "full": FULL_SCALE_DEFAULTS}
 _IBM_INITIAL = {"desk": (100, 10), "full": (2000, 30)}
 _IBM_RATE_KEYS = tuple(f.name for f in dataclass_fields(IbmParameters))
+_IBM_KEYS = ("profile", "initial_prey", "initial_predators", *_IBM_RATE_KEYS)
 
 
 def _ibm_setup(cfg: Mapping[str, Any]):
+    _check_keys(cfg, _IBM_KEYS)
     profile = cfg.get("profile", "desk")
-    if profile not in _IBM_PROFILES:
-        raise ValidationError(f"unknown predator_prey profile {profile!r}; expected one of {sorted(_IBM_PROFILES)}")
-    overrides = {k: float(cfg[k]) for k in _IBM_RATE_KEYS if k in cfg}
+    if not isinstance(profile, str) or profile not in _IBM_PROFILES:
+        raise ValidationError(f"model.profile must be one of {sorted(_IBM_PROFILES)}, got {profile!r}")
+    overrides = {k: _number(cfg, k, None) for k in _IBM_RATE_KEYS if k in cfg}
     params = dataclasses.replace(_IBM_PROFILES[profile], **overrides)
     default_prey, default_pred = _IBM_INITIAL[profile]
     return (
         params,
-        int(cfg.get("initial_prey", default_prey)),
-        int(cfg.get("initial_predators", default_pred)),
+        _number(cfg, "initial_prey", default_prey, int),
+        _number(cfg, "initial_predators", default_pred, int),
     )
 
 
@@ -98,7 +121,8 @@ def _ibm_parse(field: str, text: str):
 
 
 def _delay_factory(cfg: Mapping[str, Any]) -> Model:
-    return DelayModel(delay_ms=float(cfg.get("delay_ms", 5.0)))
+    _check_keys(cfg, ("delay_ms",))
+    return DelayModel(delay_ms=_number(cfg, "delay_ms", 5.0))
 
 
 _REGISTRY: dict[str, ModelEntry] = {

@@ -6,13 +6,20 @@ import pickle
 from abc import ABC, abstractmethod
 from typing import Any, Mapping, Sequence
 
-from ..core import Parameters, SerializationError
+from ..core import Parameters, SerializationError, ValidationError, make_stream, rekey
 
 __all__ = ["Model", "decode_state_payload", "encode_state_payload"]
 
 
 class Model(ABC):
     """Behavioral contract for one particle's model instance.
+
+    A model writes ``init``, ``run`` and ``log_observe`` and names in
+    ``_FIELDS`` the attributes that hold its parameters, time and latent
+    state; the base class saves, loads, reseeds and copies it. A model
+    must replace, never mutate, the objects named in ``_FIELDS``: replicas
+    share them. The random stream is the Philox generator ``_rng`` (None
+    until ``init``), which only this class saves, restores and rekeys.
 
     An instance is single-threaded and owns its full state, including its
     random stream, so that ``load(save())`` reproduces future behavior
@@ -33,6 +40,14 @@ class Model(ABC):
     bytes and behave identically. State moving between workers still
     travels through ``save`` and ``load``.
     """
+
+    _KIND: str                      # tag of the saved state; subclasses inherit it
+    _rng = None
+
+    @property
+    @abstractmethod
+    def _FIELDS(self) -> tuple[str, ...]:
+        """Names of the attributes holding parameters, time and latent state."""
 
     @abstractmethod
     def init(self, parameters: Parameters, seed: int) -> None:
@@ -58,28 +73,49 @@ class Model(ABC):
     def log_observe(self, data: Mapping[str, Any]) -> float:
         """Log likelihood of one observation record given the current state."""
 
-    @abstractmethod
     def save(self) -> bytes:
-        """Serialize the complete state, parameters and stream included."""
+        """Serialize the ``_FIELDS`` and the stream."""
+        payload = {name: getattr(self, name) for name in self._FIELDS}
+        payload["_rng"] = None if self._rng is None else self._rng.bit_generator.state
+        return encode_state_payload(self._KIND, payload)
 
-    @abstractmethod
     def load(self, state: bytes) -> None:
-        """Restore a state produced by ``save`` on a compatible instance."""
+        """Restore a state produced by ``save`` on an instance of this class."""
+        payload = decode_state_payload(self._KIND, state)
+        if not isinstance(payload, dict) or tuple(payload) != (*self._FIELDS, "_rng"):
+            raise SerializationError(f"{self._KIND!r} state does not hold the fields {self._FIELDS}")
+        for name in self._FIELDS:
+            setattr(self, name, payload[name])
+        rng = payload["_rng"]
+        if rng is None:
+            self._rng = None
+        else:
+            # reuse a live generator when present, construction dominates load cost
+            if self._rng is None:
+                self._rng = make_stream(0)
+            self._rng.bit_generator.state = rng
 
-    @abstractmethod
     def reseed(self, seed: int) -> None:
         """Replace the random stream without touching the state."""
+        if self._rng is None:
+            raise ValidationError("model not initialized")
+        rekey(self._rng, seed)
 
     def copy_from(self, source: "Model") -> None:
         """Become a replica of ``source``, an instance of the same class.
 
-        Parameters, time and latent state are copied and no mutable object
-        is shared with ``source``, so advancing either leaves the other
-        alone. The random stream is not copied: it is unspecified until the
-        caller's ``reseed``. The default is ``load(source.save())``;
-        override it when a direct copy is cheaper.
+        The ``_FIELDS`` are taken by reference, which is safe because no
+        model mutates them. The random stream is not copied: it is
+        unspecified until the caller's ``reseed``.
         """
-        self.load(source.save())
+        # setattr, not __dict__: reading an instance's __dict__ slows
+        # every later attribute access on it (CPython 3.11)
+        for name in self._FIELDS:
+            setattr(self, name, getattr(source, name))
+        if source._rng is None:
+            self._rng = None
+        elif self._rng is None:
+            self._rng = make_stream(0)      # a stream for the caller to reseed
 
 
 def encode_state_payload(kind: str, payload: dict) -> bytes:

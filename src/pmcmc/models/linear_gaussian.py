@@ -19,9 +19,8 @@ from ..core import (
     ValidationError,
     derive_seed,
     make_stream,
-    rekey,
 )
-from .base import Model, decode_state_payload, encode_state_payload
+from .base import Model
 
 __all__ = ["LinearGaussianModel", "kalman_log_marginal", "synthesize_linear_gaussian"]
 
@@ -55,6 +54,7 @@ class LinearGaussianModel(Model):
     """
 
     _KIND = "linear_gaussian"
+    _FIELDS = ("_cfg", "_time", "_x")
 
     def __init__(self, a: float = 0.9, q: float = 1.0, r: float = 1.0, m0: float = 0.0, s0: float = 1.0):
         _validate_config(a, q, r, m0, s0)
@@ -62,7 +62,6 @@ class LinearGaussianModel(Model):
         self._cfg = dict(self._defaults)
         self._time = 0
         self._x = 0.0
-        self._rng = None
 
     def init(self, parameters: Parameters, seed: int) -> None:
         cfg = dict(self._defaults)
@@ -97,44 +96,6 @@ class LinearGaussianModel(Model):
         r = self._cfg["r"]
         z = (y - self._x) / r
         return -0.5 * (z * z + _LOG_2PI) - math.log(r)
-
-    def save(self) -> bytes:
-        return encode_state_payload(
-            self._KIND,
-            {
-                "cfg": dict(self._cfg),
-                "time": self._time,
-                "x": self._x,
-                "rng": None if self._rng is None else self._rng.bit_generator.state,
-            },
-        )
-
-    def load(self, state: bytes) -> None:
-        payload = decode_state_payload(self._KIND, state)
-        self._cfg = dict(payload["cfg"])
-        self._time = int(payload["time"])
-        self._x = float(payload["x"])
-        if payload["rng"] is None:
-            self._rng = None
-        else:
-            # reuse a live generator when present, construction dominates load cost
-            if self._rng is None:
-                self._rng = make_stream(0)
-            self._rng.bit_generator.state = payload["rng"]
-
-    def reseed(self, seed: int) -> None:
-        if self._rng is None:
-            raise ValidationError("model not initialized")
-        rekey(self._rng, seed)
-
-    def copy_from(self, source: "LinearGaussianModel") -> None:
-        self._cfg = dict(source._cfg)
-        self._time = source._time
-        self._x = source._x
-        if source._rng is None:
-            self._rng = None
-        elif self._rng is None:
-            self._rng = make_stream(0)      # a stream for the caller to reseed
 
     @property
     def latent(self) -> float:

@@ -56,9 +56,8 @@ from ..core import (
     ValidationError,
     derive_seed,
     make_stream,
-    rekey,
 )
-from .base import Model, decode_state_payload, encode_state_payload
+from .base import Model
 
 __all__ = [
     "ADULT",
@@ -445,6 +444,7 @@ class PredatorPreyModel(Model):
     """Engine adapter owning one realization's census, rates, and stream."""
 
     _KIND = "predator_prey"
+    _FIELDS = ("_params", "_initial", "_state")
 
     def __init__(self, defaults: IbmParameters = DESK_DEFAULTS,
                  initial_prey: int = 100, initial_predators: int = 10):
@@ -454,7 +454,6 @@ class PredatorPreyModel(Model):
         self._initial = (int(initial_prey), int(initial_predators))
         self._params = defaults
         self._state: IbmState | None = None
-        self._rng = None
 
     def init(self, parameters: Parameters, seed: int) -> None:
         self._params = _calibrated(self._defaults, parameters)
@@ -500,58 +499,6 @@ class PredatorPreyModel(Model):
         if self._state is None:
             raise ValidationError("model not initialized")
         return ibm_log_observe(self._state, data, self._params)
-
-    def save(self) -> bytes:
-        state = self._state
-        return encode_state_payload(
-            self._KIND,
-            {
-                "params": None if self._params is None else {f.name: getattr(self._params, f.name) for f in fields(IbmParameters)},
-                "initial": self._initial,
-                "species": None if state is None else state.species,
-                "stage": None if state is None else state.stage,
-                "mass": None if state is None else state.mass,
-                "step": None if state is None else state.step,
-                "rng": None if self._rng is None else self._rng.bit_generator.state,
-            },
-        )
-
-    def load(self, state: bytes) -> None:
-        payload = decode_state_payload(self._KIND, state)
-        self._params = IbmParameters(**payload["params"])
-        self._initial = tuple(payload["initial"])
-        if payload["species"] is None:
-            self._state = None
-        else:
-            self._state = IbmState(
-                np.asarray(payload["species"], np.uint8),
-                np.asarray(payload["stage"], np.uint8),
-                np.asarray(payload["mass"], np.float64),
-                int(payload["step"]),
-            )
-        if payload["rng"] is None:
-            self._rng = None
-        else:
-            # reuse a live generator when present, construction dominates load cost
-            if self._rng is None:
-                self._rng = make_stream(0)
-            self._rng.bit_generator.state = payload["rng"]
-
-    def reseed(self, seed: int) -> None:
-        if self._rng is None:
-            raise ValidationError("model not initialized")
-        rekey(self._rng, seed)
-
-    def copy_from(self, source: "PredatorPreyModel") -> None:
-        self._params = source._params           # frozen
-        self._initial = source._initial
-        state = source._state
-        self._state = None if state is None else IbmState(
-            state.species.copy(), state.stage.copy(), state.mass.copy(), state.step)
-        if source._rng is None:
-            self._rng = None
-        elif self._rng is None:
-            self._rng = make_stream(0)          # a stream for the caller to reseed
 
     @property
     def state(self) -> IbmState:

@@ -292,10 +292,9 @@ class SamplerSettings:
     acceptance_window: int = 20
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.samples}")
-        if self.acceptance_window < 1:
-            raise ValidationError(f"acceptance window must be >= 1, got {self.acceptance_window}")
+        for name, value in (("sample count", self.samples), ("acceptance window", self.acceptance_window)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def run_chain(

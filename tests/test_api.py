@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pmcmc
+from pmcmc.models import DelayModel, LinearGaussianModel, Model, PredatorPreyModel
 
 MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc.__path__, "pmcmc."))
 
@@ -61,3 +62,12 @@ def test_every_public_callable_is_used():
             if f"{name}.{attr}" not in UNUSED_ALLOWED:
                 unused.append(f"{name}.{attr}")
     assert not unused, f"public names nothing uses: {unused}"
+
+
+def test_model_contract_is_closed():
+    """A model writes ``init``, ``run``, ``log_observe`` and ``_FIELDS``;
+    the state codec lives in ``Model`` alone."""
+    assert Model.__abstractmethods__ == {"init", "run", "log_observe", "_FIELDS"}
+    for cls in (DelayModel, LinearGaussianModel, PredatorPreyModel):
+        own = {"save", "load", "copy_from", "reseed"} & set(vars(cls))
+        assert own == ({"reseed"} if cls is DelayModel else set()), cls.__name__

@@ -118,6 +118,10 @@ class TestConfigLoading:
             (_LG_YAML + "extra_key: 1\n", "unknown config keys"),
             (_LG_YAML.replace("seed: 5", "seed: -1"), "seed"),
             (_LG_YAML.replace("workers: 2", "workers: 0"), "workers"),
+            (_DESK_YAML.replace("  profile: desk", "  profle: full"), "model.profle"),
+            (_DESK_YAML.replace("  profile: desk", "  profile: desk\n  initial_prey: abc"),
+             "model.initial_prey"),
+            (_LG_YAML.replace("  name: linear_gaussian", "  name: linear_gaussian\n  q: big"), "model.q"),
         ]
         for text, needle in cases:
             with pytest.raises(ValidationError) as info:
@@ -321,6 +325,17 @@ class TestMainErrors:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "nope.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, needle", [("  profle: full", "model.profle"),
+                                              ("  profile: desk\n  initial_prey: abc", "model.initial_prey")],
+                             ids=["typo", "unparsable"])
+    def test_bad_model_key_fails_cleanly(self, tmp_path, capsys, line, needle):
+        config = _write_config(tmp_path, _DESK_YAML.replace("  profile: desk", line))
+        for command in ("synth", "run"):
+            assert main([command, "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err and "Traceback" not in err
+        assert not (tmp_path / "obs.csv").exists()
 
     def test_unknown_model_lists_registry(self, tmp_path, capsys):
         text = _LG_YAML.replace("name: linear_gaussian", "name: volcano")

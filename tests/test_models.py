@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from pmcmc.core import (
@@ -18,11 +19,13 @@ from pmcmc.core import (
 from pmcmc.models import (
     DelayModel,
     LinearGaussianModel,
-    Model,
     PredatorPreyModel,
+    get_model_entry,
     kalman_log_marginal,
+    predator_prey,
     synthesize_linear_gaussian,
 )
+from pmcmc import models
 from pmcmc.models.base import decode_state_payload, encode_state_payload
 from roundtrip import assert_state_roundtrip
 
@@ -296,17 +299,68 @@ class TestCopyFrom:
             source.log_observe(data)
         assert replica.save() == snapshot
 
-    def test_default_copy_is_load_of_save(self):
-        class Recorder(LinearGaussianModel):
-            loads = 0
+    def test_batched_replicas_share_nothing(self, monkeypatch):
+        """Replicas hold their source's fields by reference; advancing a
+        source and three replicas through the batched kernel must leave
+        each as its own ``run`` would, and a replica left behind unchanged."""
+        batched = []
+        kernel = predator_prey.ibm_advance_many
+        monkeypatch.setattr(predator_prey, "ibm_advance_many",
+                            lambda states, *rest: batched.append(len(states)) or kernel(states, *rest))
+        source, _, data = _predator_prey()
+        replicas = [PredatorPreyModel(initial_prey=60, initial_predators=8) for _ in range(4)]
+        for seed, replica in enumerate(replicas, start=40):
+            replica.copy_from(source)
+            replica.reseed(seed)
+        source.reseed(39)
+        group, idle = [source, *replicas[:3]], replicas[3]
+        idle_bytes = idle.save()
+        alone = []
+        for model in group:
+            own = PredatorPreyModel()
+            own.load(model.save())
+            own.run(9)
+            alone.append(own.save())
+        PredatorPreyModel.run_many(group, 9)
+        assert batched == [4]
+        assert [model.save() for model in group] == alone
+        assert len({model.log_observe(data) for model in group}) > 1
+        assert idle.save() == idle_bytes
 
-            def load(self, state):
-                Recorder.loads += 1
-                super().load(state)
 
-        copy_from = Model.copy_from        # the contract's default, bypassing the override
-        source, _, _ = _linear_gaussian()
-        replica = Recorder()
-        copy_from(replica, source)
-        assert Recorder.loads == 1
-        assert replica.save() == source.save()
+def _same(a, b) -> bool:
+    """Deep equality over model attributes: arrays by dtype and value,
+    generators by bit-generator state, slotted objects slot by slot."""
+    if isinstance(a, np.random.Generator):
+        a, b = a.bit_generator.state, b.bit_generator.state
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if hasattr(type(a), "__slots__"):
+        return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in type(a).__slots__)
+    return type(a) is type(b) and a == b
+
+
+class TestStateContract:
+    @pytest.mark.parametrize("name", sorted(models._REGISTRY))
+    def test_load_restores_every_attribute(self, name):
+        """``_FIELDS`` and the stream are the whole state: an attribute left
+        out of ``_FIELDS`` makes the loaded instance differ here."""
+        factory = get_model_entry(name).factory
+        source = factory({})
+        source.init(Parameters({}), 17)
+        source.run(3)
+        source.run(5)
+        loaded = factory({})
+        loaded.load(source.save())
+        for attr in sorted(vars(source).keys() | vars(loaded).keys()):
+            assert _same(getattr(source, attr), getattr(loaded, attr)), attr
+
+    def test_load_rejects_other_fields(self):
+        model = LinearGaussianModel()
+        for payload in ({"_cfg": {}, "_time": 0, "_rng": None},
+                        {"_cfg": {}, "_time": 0, "_x": 0.0, "_y": 1.0, "_rng": None},
+                        [1, 2]):
+            with pytest.raises(SerializationError, match="fields"):
+                model.load(encode_state_payload("linear_gaussian", payload))

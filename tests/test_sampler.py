@@ -242,6 +242,10 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             SamplerSettings(Parameters({"a": 0.0}), 2, {"a": 0.1}, _WIDE, 4, 1,
                             acceptance_window=0)
+        for samples, window in ((2.5, 20), (True, 20), (2, 1.5)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                SamplerSettings(Parameters({"a": 0.0}), samples, {"a": 0.1}, _WIDE, 4, 1,
+                                acceptance_window=window)
 
     def test_pseudo_marginal_wander_with_frozen_proposal(self):
         """Zero proposal scale leaves theta fixed, yet the chain still
