@@ -131,7 +131,7 @@ def write_diagnostics_csv(records: Sequence[ChainRecord], path: Path) -> None:
         writer.writerow(["sample", "observation", "redraw_rate", "move_fraction",
                          "copy_fraction", "stage", "worker", "duration"])
         for record in records:
-            fd = record.diagnostics.filter
+            fd = record.filter
             if fd is None:
                 continue
             for event, (rr, mv, cp) in enumerate(
@@ -173,7 +173,6 @@ def cmd_run(config: EngineConfig) -> int:
         prior=config.make_prior(),
         ensemble_size=config.particles,
         workers=config.workers,
-        acceptance_window=config.acceptance_window,
     )
     records = run_chain(settings, lambda: entry.factory(config.model_config),
                         observations, chain_index=config.seed)

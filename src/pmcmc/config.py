@@ -87,7 +87,6 @@ class EngineConfig:
     seed: int
     observations_path: Path | None
     output_dir: Path
-    acceptance_window: int = 20
 
     def __post_init__(self):
         if not self.model_name:
@@ -98,8 +97,6 @@ class EngineConfig:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if self.acceptance_window < 1:
-            raise ValidationError(f"acceptance_window must be >= 1, got {self.acceptance_window!r}")
         for name in self.proposal_scales:
             if name not in self.initial:
                 raise ValidationError(f"proposal_scales names unknown parameter {name!r}")
@@ -159,8 +156,7 @@ def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None)
     if version != CONFIG_VERSION:
         raise ValidationError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
     known = {"config_version", "model", "prior", "initial", "proposal_scales", "schedule",
-             "samples", "particles", "workers", "seed", "observations_path", "output_dir",
-             "acceptance_window"}
+             "samples", "particles", "workers", "seed", "observations_path", "output_dir"}
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -207,7 +203,6 @@ def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None)
         seed=_as_int(_require(raw, "seed", "config"), "seed"),
         observations_path=observations_path,
         output_dir=_resolve(base, str(raw.get("output_dir", "."))),
-        acceptance_window=_as_int(raw.get("acceptance_window", 20), "acceptance_window"),
     )
     config.make_prior()     # fail early on a bad prior spec or model section
     build_model(config.model_name, config.model_config)

@@ -5,13 +5,17 @@ filtering pass over an observation series:
 
 1.  broadcast the parameter vector
 2.  workers initialize their share of the ensemble, each particle on its
-    own deterministically derived stream
+    own deterministically derived stream, and report nothing: the master
+    knows the layout (``worker_lineages``) and goes straight on
 3.  broadcast the next observation event
 4.  workers advance their particles to the event time, all of a
     worker's at once through ``Model.run_many``
 5.  workers evaluate observation likelihoods, gathered by the master in
-    lineage order
-6.  after the last event the master sends exit and forms the estimate
+    lineage order; each report also carries the stage timings and event
+    marks recorded since the previous one, so event 1's gather spans the
+    workers' initialization and its ``timeout`` covers both
+6.  after the last event, or a degenerate one, the master sends exit,
+    joins the workers and forms the estimate
 7.  the master resamples the ensemble (virtually: counts only)
 8.  the master computes the routing that rebalances the resampled
     ensemble across workers
@@ -36,10 +40,10 @@ processes forked for the pass, so CPU-bound models run in parallel
 rather than taking turns on the interpreter lock; where the platform has
 no ``fork`` start method they are threads too. Either way they run the
 same worker state machine over the same byte channels. When the pass
-fails, on a worker's error report, a timeout or an exception on the
-master, every worker is told to exit, and any still running after
-``_STOP_BOUND`` seconds is terminated (a thread cannot be, and is left to
-finish its current command).
+ends, after its last event or on a failure (a worker's error report, a
+timeout or an exception on the master), every worker is told to exit, and
+any still running after ``_STOP_BOUND`` seconds is terminated (a thread
+cannot be, and is left to finish its current command).
 """
 
 from __future__ import annotations
@@ -80,8 +84,6 @@ from .transport import (
     Channel,
     ErrorReport,
     ExitCommand,
-    ExitReport,
-    InitReport,
     ParticleTransfer,
     RouteCommand,
     WorkerReport,
@@ -90,6 +92,10 @@ from .transport import (
 __all__ = ["DEFAULT_TIMEOUT", "FilterDiagnostics", "FilterResult", "run_particle_filter", "worker_lineages"]
 
 DEFAULT_TIMEOUT = 120.0
+
+# Largest accepted ``timeout``, in seconds. An idle worker waits twice the
+# timeout for a command, and a process queue cannot wait past 2**31 ms.
+_MAX_TIMEOUT = 1e6
 
 # Seconds a pass waits for its workers to stop before terminating them; a
 # stuck worker's error then still surfaces within a second of its timeout.
@@ -166,7 +172,6 @@ class _WorkerRuntime:
         self.sample_index = 0
         self.pending: list[StageTiming] = []
         self.marks: list[tuple] = []
-        self._init_done_at: float | None = None
         # retired instances recycled for replicas; loading into a live model
         # skips generator construction, the dominant replication cost
         self._pool: list[Model] = []
@@ -184,10 +189,6 @@ class _WorkerRuntime:
                     command = self.commands.recv(2 * self.timeout)
                 except queue.Empty:
                     raise ProtocolError("timed out waiting for a command", rank=self.rank, step=step)
-                if self._init_done_at is not None:
-                    self.pending.append(StageTiming(
-                        "init-sync", self.rank, self.sample_index, 0, perf_counter() - self._init_done_at))
-                    self._init_done_at = None
                 if isinstance(command, Broadcast):
                     step = "2/init"
                     self._initialize(command)
@@ -198,7 +199,6 @@ class _WorkerRuntime:
                     step = f"10/routing[{command.observation_index}]"
                     self._apply_routing(command)
                 elif isinstance(command, ExitCommand):
-                    self._exit()
                     return
                 else:
                     raise ProtocolError(f"unexpected command {type(command).__name__}",
@@ -227,8 +227,6 @@ class _WorkerRuntime:
             model.init(command.parameters, seed)
             self.particles[lineage] = model
         self.pending.append(StageTiming("init", self.rank, self.sample_index, 0, perf_counter() - t0))
-        self.reports.send(InitReport(self.rank, tuple(self.lineages), self._flush_timings()))
-        self._init_done_at = perf_counter()
 
     def _advance(self, command: Advance) -> None:
         j = command.observation_index
@@ -249,7 +247,9 @@ class _WorkerRuntime:
         self.pending.append(StageTiming("run", self.rank, self.sample_index, j, t1 - t0))
         self.pending.append(StageTiming("observe", self.rank, self.sample_index, j, t2 - t1))
         self.reports.send(WorkerReport(self.rank, j, np.array(lineages, dtype=np.int32),
-                                       np.array(weights, dtype=np.float64), self._flush_timings()))
+                                       np.array(weights, dtype=np.float64),
+                                       tuple(self.pending), tuple(self.marks)))
+        self.pending, self.marks = [], []
 
     def _apply_routing(self, command: RouteCommand) -> None:
         j = command.observation_index
@@ -281,8 +281,7 @@ class _WorkerRuntime:
         # receives need no posting, the inbox accepts eagerly
         for (lineage, destination), ids in sends.items():
             state = self.particles[lineage].save()
-            self.peers[destination].send(
-                ParticleTransfer(lineage, ids[0], state, self.rank, destination))
+            self.peers[destination].send(ParticleTransfer(lineage, state, self.rank))
 
         # 10(c): copy local survivors into their replicas, stream aside,
         # while any transfers are in flight
@@ -351,19 +350,6 @@ class _WorkerRuntime:
         self.pending.append(StageTiming("replicate", self.rank, self.sample_index, j, replicate_time))
         self.pending.append(StageTiming("transfer-wait", self.rank, self.sample_index, j, transfer_wait))
 
-    def _exit(self) -> None:
-        t0 = perf_counter()
-        self.particles = {}
-        self.pending.append(StageTiming("exit", self.rank, self.sample_index, 0, perf_counter() - t0))
-        self.reports.send(ExitReport(self.rank, self._flush_timings(), tuple(self.marks)))
-
-    # -- helpers --------------------------------------------------------
-
-    def _flush_timings(self) -> tuple:
-        out = tuple(self.pending)
-        self.pending = []
-        return out
-
 
 def _group(rows: np.ndarray, *key_columns: int) -> dict:
     """New ids (column 3) of sorted routing rows, grouped by the key columns."""
@@ -397,15 +383,12 @@ def _run_forked(runtime: _WorkerRuntime) -> None:
         runtime.reports.close()
 
 
-def _stop(started: list, commands: list, channels: list, abort: bool) -> None:
-    """End the pass's workers within ``_STOP_BOUND`` and release the channels.
-
-    On an abort every worker is told to exit; a process still alive at the
-    bound is terminated.
+def _stop(started: list, commands: list, channels: list) -> None:
+    """Tell every worker to exit, end them within ``_STOP_BOUND`` and
+    release the channels; a process still alive at the bound is terminated.
     """
-    if abort:
-        for channel in commands:
-            channel.send(ExitCommand())
+    for channel in commands:
+        channel.send(ExitCommand())
     deadline = monotonic() + _STOP_BOUND
     for worker in started:
         worker.join(max(deadline - monotonic(), 0.0))
@@ -444,7 +427,8 @@ def run_particle_filter(
     After every event but the last the master draws multinomial replica
     counts (``resample_multinomial``) from the event's resampling stream.
     ``timeout`` is the longest wait, in seconds, for any one report from
-    the workers; a worker allows twice that for its next command.
+    the workers, at most ``_MAX_TIMEOUT`` (1e6); a worker allows twice that
+    for its next command. Event 1's wait includes the workers' initialization.
 
     ``worker_dependent_seed_fault`` deliberately mixes the worker count
     into the resampling seed; the verification suite uses it to prove the
@@ -453,8 +437,9 @@ def run_particle_filter(
     for name, value in (("ensemble size", ensemble_size), ("worker count", workers)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0.0 < timeout < math.inf:
-        raise ValidationError(f"timeout must be a positive finite number of seconds, got {timeout!r}")
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0.0 < timeout <= _MAX_TIMEOUT:
+        raise ValidationError(f"timeout must be a positive number of seconds up to {_MAX_TIMEOUT:g}, "
+                              f"got {timeout!r}")
     if not isinstance(observations, ObservationSeries):
         raise ValidationError("observations must be an ObservationSeries")
     if not isinstance(parameters, Parameters):
@@ -469,6 +454,7 @@ def run_particle_filter(
     started: list = []      # worker threads or processes, by rank
 
     timings: list[StageTiming] = []
+    marks: list[tuple] = []
     rows: list[np.ndarray] = []
     resample_counts: list[tuple] = []
     redraw_rates: list[float] = []
@@ -476,7 +462,7 @@ def run_particle_filter(
     copy_fractions: list[float] = []
     degenerate: tuple = ()
 
-    def _gather(expected_type, step: str) -> list:
+    def _gather(step: str) -> list:
         """One report from every rank, in arrival order; a timeout names
         the lowest rank not heard from."""
         gathered = []
@@ -501,15 +487,11 @@ def run_particle_filter(
                                         f"{sorted(silent)}", rank=min(silent), step=step)
             if isinstance(message, ErrorReport):
                 raise ProtocolError(message.message, rank=message.worker, step=message.step)
-            if not isinstance(message, expected_type):
-                raise ProtocolError(f"unexpected report {type(message).__name__}",
-                                    rank=MASTER_RANK, step=step)
             silent.discard(message.worker)
             gathered.append(message)
         return gathered
 
     t_start = perf_counter()
-    completed = False
     try:
         for rank in range(workers):
             runtime = _WorkerRuntime(
@@ -525,29 +507,21 @@ def run_particle_filter(
             started.append(launcher)
         for rank in range(workers):
             commands[rank].send(Broadcast(sample_index, parameters))
+        # worker of each lineage
+        held = np.array([rank for rank in range(workers) for _ in worker_lineages(rank, p, workers)])
 
-        initialized = {}
-        for report in _gather(InitReport, "2/init-gather"):
-            timings.extend(report.timings)
-            for lineage in report.lineage_ids:
-                initialized[lineage] = report.worker
-        if sorted(initialized) != list(range(p)):
-            raise ProtocolError("initialized lineages do not cover the ensemble",
-                                rank=MASTER_RANK, step="2/init-gather")
-        held = np.array([initialized[lineage] for lineage in range(p)])   # worker of each lineage
-
-        marks: list[tuple] = []
         for j, (target_time, data) in enumerate(observations, start=1):
             for rank in range(workers):
                 commands[rank].send(Advance(j, target_time, data))
             t0 = perf_counter()
             gathered_ids, gathered_weights = [], []
-            for report in _gather(WorkerReport, f"5/gather[{j}]"):
+            for report in _gather(f"5/gather[{j}]"):
                 if report.observation_index != j:
                     raise ProtocolError(
                         f"report for event {report.observation_index} while gathering event {j}",
                         rank=report.worker, step=f"5/gather[{j}]")
                 timings.extend(report.timings)
+                marks.extend(report.marks)
                 gathered_ids.append(report.lineage_ids)
                 gathered_weights.append(report.log_weights)
             timings.append(StageTiming("likelihood-gather", MASTER_RANK, sample_index, j,
@@ -593,15 +567,8 @@ def run_particle_filter(
             for rank in range(workers):
                 commands[rank].send(RouteCommand(j, routing.slice_table(rank), routing.W_max))
             held = routing.destination
-
-        for rank in range(workers):
-            commands[rank].send(ExitCommand())
-        for report in _gather(ExitReport, "6/exit-gather"):
-            timings.extend(report.timings)
-            marks.extend(report.marks)
-        completed = True
     finally:
-        _stop(started, commands, [*commands, reports, *inboxes], abort=not completed)
+        _stop(started, commands, [*commands, reports, *inboxes])
 
     wall_time = perf_counter() - t_start
     estimate = estimate_marginal_from_log(np.vstack(rows))

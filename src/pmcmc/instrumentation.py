@@ -34,13 +34,12 @@ STAGES = (
     "route",
     "replicate",
     "transfer-wait",
-    "init-sync",
-    "exit",
 )
 
 # The "main computing routines" whose share of total worker time defines
 # parallel efficiency; waiting and bookkeeping stages are excluded. The
-# master's likelihood-gather is its wait for the workers' run and observe.
+# master's likelihood-gather is its wait for the workers' run and observe
+# (and, at event 1, their init).
 MAIN_STAGES = frozenset({"init", "run", "observe", "resample", "replicate"})
 
 # Stage records produced on the coordinating side use this rank.

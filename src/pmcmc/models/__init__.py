@@ -93,8 +93,10 @@ def _ibm_setup(cfg: Mapping[str, Any]):
     profile = cfg.get("profile", "desk")
     if not isinstance(profile, str) or profile not in _IBM_PROFILES:
         raise ValidationError(f"model.profile must be one of {sorted(_IBM_PROFILES)}, got {profile!r}")
+    params = _IBM_PROFILES[profile]
     overrides = {k: _number(cfg, k, None) for k in _IBM_RATE_KEYS if k in cfg}
-    params = dataclasses.replace(_IBM_PROFILES[profile], **overrides)
+    if overrides:
+        params = dataclasses.replace(params, **overrides)
     default_prey, default_pred = _IBM_INITIAL[profile]
     return (
         params,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "UniformPrior",
     "LogNormalPrior",
     "Prior",
-    "SampleDiagnostics",
     "ChainRecord",
     "Evaluation",
     "SamplerSettings",
@@ -122,22 +121,13 @@ class Prior:
 
 
 @dataclass(frozen=True)
-class SampleDiagnostics:
-    """Per-sample summary attached to a chain record.
-
-    rolling_acceptance covers the trailing window of accept decisions
-    (NaN until the chain driver fills it in); filter carries the full
-    measurement set of the likelihood evaluation behind this sample, or
-    None when no filter ran (shortcut rejection, exact evaluator).
-    """
-
-    rolling_acceptance: float = math.nan
-    filter: FilterDiagnostics | None = None
-
-
-@dataclass(frozen=True)
 class ChainRecord:
-    """One MCMC sample: the retained state plus what was attempted."""
+    """One MCMC sample: the retained state plus what was attempted.
+
+    ``filter`` carries the full measurement set of the likelihood
+    evaluation behind this sample, or None when no filter ran (shortcut
+    rejection, exact evaluator).
+    """
 
     sample_index: int
     theta: Parameters
@@ -146,7 +136,7 @@ class ChainRecord:
     log_prior: float
     accepted: bool
     proposal: Parameters
-    diagnostics: SampleDiagnostics = field(default_factory=SampleDiagnostics)
+    filter: FilterDiagnostics | None = None
 
     @property
     def log_posterior(self) -> float:
@@ -262,15 +252,14 @@ def mh_step(
         evaluation.log_likelihood + log_prior_proposal,
     )
     accepted = rng.random() < alpha
-    diagnostics = SampleDiagnostics(filter=evaluation.filter_diagnostics)
     if accepted:
         return ChainRecord(
             sample_index, proposal, evaluation.log_likelihood, evaluation.log_std,
-            log_prior_proposal, True, proposal, diagnostics,
+            log_prior_proposal, True, proposal, evaluation.filter_diagnostics,
         )
     return ChainRecord(
         sample_index, current.theta, current.log_likelihood, current.log_std,
-        current.log_prior, False, proposal, diagnostics,
+        current.log_prior, False, proposal, evaluation.filter_diagnostics,
     )
 
 
@@ -289,12 +278,10 @@ class SamplerSettings:
     prior: Prior
     ensemble_size: int
     workers: int
-    acceptance_window: int = 20
 
     def __post_init__(self):
-        for name, value in (("sample count", self.samples), ("acceptance window", self.acceptance_window)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
+            raise ValidationError(f"sample count must be an integer >= 1, got {self.samples!r}")
 
 
 def run_chain(
@@ -330,18 +317,11 @@ def run_chain(
 
     records = [ChainRecord(
         0, settings.initial, evaluation.log_likelihood, evaluation.log_std,
-        log_prior_initial, True, settings.initial,
-        SampleDiagnostics(rolling_acceptance=1.0, filter=evaluation.filter_diagnostics),
+        log_prior_initial, True, settings.initial, evaluation.filter_diagnostics,
     )]
 
     for sample_index in range(1, settings.samples):
         rng = make_stream(derive_seed(
             SeedKey(chain_index, sample_index, 0, 0, PROPOSAL_STREAM)))
-        record = mh_step(records[-1], settings.scales, evaluator, settings.prior, rng)
-        window = records[-(settings.acceptance_window - 1):] + [record] \
-            if settings.acceptance_window > 1 else [record]
-        rolling = sum(r.accepted for r in window) / len(window)
-        record = replace(record, diagnostics=replace(record.diagnostics,
-                                                     rolling_acceptance=rolling))
-        records.append(record)
+        records.append(mh_step(records[-1], settings.scales, evaluator, settings.prior, rng))
     return records

@@ -25,8 +25,6 @@ __all__ = [
     "Channel",
     "ErrorReport",
     "ExitCommand",
-    "ExitReport",
-    "InitReport",
     "ParticleTransfer",
     "RouteCommand",
     "WorkerReport",
@@ -67,36 +65,19 @@ class RouteCommand:
 
 @dataclass(frozen=True)
 class ExitCommand:
-    """Step 6: all observation events processed."""
-
-
-@dataclass(frozen=True)
-class InitReport:
-    """Step 2 barrier: worker finished initializing its particles."""
-
-    worker: int
-    lineage_ids: tuple
-    timings: tuple
+    """Step 6: the pass is over, or failed; the worker returns."""
 
 
 @dataclass(frozen=True)
 class WorkerReport:
     """Step 5: per-particle log observation likelihoods plus the stage
-    timings accumulated since the previous report."""
+    timings and event marks (worker, name, observation_index, timestamp)
+    recorded since the previous report; the first carries initialization's."""
 
     worker: int
     observation_index: int
     lineage_ids: np.ndarray   # int32, ascending
     log_weights: np.ndarray   # float64, one per lineage id
-    timings: tuple
-
-
-@dataclass(frozen=True)
-class ExitReport:
-    """Step 6: the worker's last stage timings and its event marks
-    (worker, name, observation_index, timestamp) for the whole pass."""
-
-    worker: int
     timings: tuple
     marks: tuple
 
@@ -116,15 +97,12 @@ class ParticleTransfer:
     Identical replicas travel once; the receiver replicates locally."""
 
     lineage_id: int
-    new_lineage_id: int
     state: bytes
     source: int
-    destination: int
 
 
 _MESSAGE_TYPES = (
-    Broadcast, Advance, RouteCommand, ExitCommand,
-    InitReport, WorkerReport, ExitReport, ErrorReport, ParticleTransfer,
+    Broadcast, Advance, RouteCommand, ExitCommand, WorkerReport, ErrorReport, ParticleTransfer,
 )
 
 

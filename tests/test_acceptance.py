@@ -288,7 +288,7 @@ class TestAcceptanceCriteria:
 
         moves, copies, redraws = [], [], []
         for record in records:
-            diagnostics = record.diagnostics.filter
+            diagnostics = record.filter
             if diagnostics is None:
                 continue
             moves.extend(diagnostics.move_fractions)
@@ -330,9 +330,9 @@ class TestAcceptanceCriteria:
         completed = len(records) == settings.samples
         all_rejected = all(not record.accepted for record in records[1:])
         all_degenerate = all(record.log_likelihood == -math.inf for record in records)
-        flagged = records[0].diagnostics.filter.degenerate_observations == (2,)
+        flagged = records[0].filter.degenerate_observations == (2,)
         evaluated = sum(
-            1 for record in records[1:] if record.diagnostics.filter is not None
+            1 for record in records[1:] if record.filter is not None
         )
         logged = sum("degenerate" in message for message in caplog.messages)
 

@@ -2,6 +2,7 @@
 function or class among them has a user."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pmcmc
+import pmcmc.transport
 from pmcmc.models import DelayModel, LinearGaussianModel, Model, PredatorPreyModel
 
 MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc.__path__, "pmcmc."))
@@ -22,11 +24,11 @@ ROOT = Path(pmcmc.__file__).resolve().parents[2]
 UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
 
 
-def _loaded_names() -> set:
-    """Every name or attribute the package reads; imports and ``__all__``
-    strings are not reads."""
+def _loaded_names(paths=None) -> set:
+    """Every name or attribute the package (or the given files) reads;
+    imports and ``__all__`` strings are not reads."""
     names = set()
-    for path in Path(pmcmc.__file__).parent.rglob("*.py"):
+    for path in paths or Path(pmcmc.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -71,3 +73,16 @@ def test_model_contract_is_closed():
     for cls in (DelayModel, LinearGaussianModel, PredatorPreyModel):
         own = {"save", "load", "copy_from", "reseed"} & set(vars(cls))
         assert own == ({"reseed"} if cls is DelayModel else set()), cls.__name__
+
+
+def test_protocol_is_closed():
+    """The protocol's messages are exactly the dataclasses ``transport.py``
+    defines, and the executor reads each by name: a message type that
+    nothing sends or receives fails here."""
+    transport = pmcmc.transport
+    defined = {obj for obj in vars(transport).values()
+               if dataclasses.is_dataclass(obj) and obj.__module__ == transport.__name__}
+    assert set(transport._MESSAGE_TYPES) == defined
+    executor = Path(pmcmc.__file__).parent / "executor.py"
+    unread = {cls.__name__ for cls in defined} - _loaded_names([executor])
+    assert not unread, f"message types the executor never reads: {sorted(unread)}"

@@ -337,6 +337,12 @@ class TestMainErrors:
             assert err.startswith("error: ") and needle in err and "Traceback" not in err
         assert not (tmp_path / "obs.csv").exists()
 
+    def test_acceptance_window_is_unknown(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _LG_YAML + "acceptance_window: 20\n")
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown config keys: ['acceptance_window']" in err
+
     def test_unknown_model_lists_registry(self, tmp_path, capsys):
         text = _LG_YAML.replace("name: linear_gaussian", "name: volcano")
         config = _write_config(tmp_path, text)

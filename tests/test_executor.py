@@ -17,6 +17,7 @@ import pytest
 
 import pmcmc
 import pmcmc.executor
+import pmcmc.transport
 from pmcmc.core import (
     MODEL_STREAM,
     ObservationSeries,
@@ -238,6 +239,7 @@ class TestFailurePropagation:
         for ensemble_size, workers, timeout in [
             (0, 1, 1.0), (4, 0, 1.0), (4.0, 1, 1.0), (True, 1, 1.0), (4, 2.0, 1.0), (4, True, 1.0),
             (4, 1, -1), (4, 1, 0.0), (4, 1, math.inf), (4, 1, math.nan), (4, 1, "5"), (4, 1, True),
+            (4, 1, 1e7), (4, 2, 1e7),
         ]:
             with pytest.raises(ValidationError):
                 run_particle_filter(LinearGaussianModel, _THETA, _OBS, ensemble_size, workers,
@@ -335,20 +337,24 @@ def _tamper_routing(monkeypatch, slices):
     monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
 
 
+# (fault, poisoned lineage, failing rank at W=2, step)
+_MODEL_FAULTS = [
+    ("init", 0, 0, "2/init"),
+    ("run", 3, 1, "4/advance[1]"),
+    ("log_observe", 0, 0, "4/advance[1]"),
+    ("nan", 3, 1, "5/observe[1]"),
+    ("inf", 0, 0, "5/observe[1]"),
+    ("kill", 3, 1, "5/gather[1]"),
+]
+
+
 @needs_fork
 class TestFaultInjection:
     """One rank fails while the other survives (p=4, W=2: lineages 0, 1
     on rank 0 and 2, 3 on rank 1). The error must name the failing rank
     and step, arrive within a second, and leave no worker behind."""
 
-    @pytest.mark.parametrize("fault, lineage, rank, step", [
-        ("init", 0, 0, "2/init"),
-        ("run", 3, 1, "4/advance[1]"),
-        ("log_observe", 0, 0, "4/advance[1]"),
-        ("nan", 3, 1, "5/observe[1]"),
-        ("inf", 0, 0, "5/observe[1]"),
-        ("kill", 3, 1, "5/gather[1]"),
-    ])
+    @pytest.mark.parametrize("fault, lineage, rank, step", _MODEL_FAULTS)
     def test_failing_model(self, fault, lineage, rank, step):
         before = _live()
         started = time.perf_counter()
@@ -418,6 +424,61 @@ class TestFaultInjection:
             assert "missing expected transfers [(0, 0)]" in str(info.value)
             assert str(info.value).count("(rank ") == 1
             assert _live() == before
+
+
+class TestThreadFaultInjection:
+    """At W=1 the worker is a thread of the caller: a model fault still
+    names rank 0 and its step within a second, and the thread is gone. A
+    thread can be neither killed nor stopped, so the kill and the hang are
+    left out."""
+
+    @pytest.mark.parametrize("fault, lineage, step",
+                             [(fault, lineage, step) for fault, lineage, _, step in _MODEL_FAULTS
+                              if fault != "kill"])
+    def test_failing_model(self, fault, lineage, step):
+        before = threading.active_count()
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError) as info:
+            run_particle_filter(lambda: _FaultyModel(fault, lineage), _THETA, _OBS, 4, 1, timeout=4.0)
+        assert time.perf_counter() - started < 1.0
+        assert (info.value.rank, info.value.step) == (0, step)
+        assert str(info.value).count("(rank ") == 1
+        assert threading.active_count() == before
+
+
+def _count_messages(monkeypatch) -> dict:
+    """Count every encoded protocol message by type name."""
+    encode = pmcmc.transport.encode_message
+    sent: dict = {}
+
+    def counting(message):
+        name = type(message).__name__
+        sent[name] = sent.get(name, 0) + 1
+        return encode(message)
+
+    monkeypatch.setattr(pmcmc.transport, "encode_message", counting)
+    return sent
+
+
+class TestMessageCount:
+    """A pass is one report per worker per event: no message beyond the
+    broadcast, the events, their routing and the exit."""
+
+    def test_full_pass(self, monkeypatch):
+        sent = _count_messages(monkeypatch)
+        n = len(_OBS)
+        run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1)
+        assert sent == {"Broadcast": 1, "Advance": n, "RouteCommand": n - 1,
+                        "ExitCommand": 1, "WorkerReport": n}
+        assert sum(sent.values()) == 3 * n + 1
+
+    def test_degenerate_break(self, monkeypatch):
+        sent = _count_messages(monkeypatch)
+        obs = ObservationSeries((1, 2, 3), ({"y": 0.3}, {"y": 1e200}, {"y": 0.5}))
+        result = run_particle_filter(LinearGaussianModel, _THETA, obs, 8, 1)
+        assert result.diagnostics.degenerate_observations == (2,)
+        assert sent == {"Broadcast": 1, "Advance": 2, "RouteCommand": 1,
+                        "ExitCommand": 1, "WorkerReport": 2}
 
 
 class _BatchCounted(LinearGaussianModel):
@@ -516,7 +577,7 @@ class TestPlacementSteps:
         donor.init(_THETA, seed=123)
         donor.run(5)
         rt = _runtime(1, 8, 4)                  # resident lineages 2, 3
-        rt.inbox.send(ParticleTransfer(0, 2, donor.save(), 0, 1))
+        rt.inbox.send(ParticleTransfer(0, donor.save(), 0))
         rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2), (0, 0, 1, 3)), 2))
         assert set(rt.particles) == {2, 3}
         assert rt.particles[2].latent == donor.latent
@@ -536,7 +597,7 @@ class TestPlacementSteps:
         entries = _slice((0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2), (1, 0, 0, 3))
         rt._apply_routing(RouteCommand(1, entries, 2))
         transfer = rt.peers[1].recv(0.1)
-        assert transfer.lineage_id == 0 and transfer.new_lineage_id == 0
+        assert transfer.lineage_id == 0
         with pytest.raises(queue.Empty):
             rt.peers[1].recv(0.05)              # one send despite two replicas
         assert set(rt.particles) == {2, 3}
@@ -555,7 +616,7 @@ class TestPlacementSteps:
 
     def test_unsolicited_transfer_rejected(self):
         rt = _runtime(1, 8, 4)
-        rt.inbox.send(ParticleTransfer(5, 2, b"", 0, 1))
+        rt.inbox.send(ParticleTransfer(5, b"", 0))
         with pytest.raises(ProtocolError) as info:
             rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2)), 2))
         assert "unsolicited" in str(info.value)

@@ -101,11 +101,10 @@ class TestEfficiency:
         timings = [
             StageTiming("run", 0, 1, 1, 0.5),
             StageTiming("transfer-wait", 0, 1, 1, 10.0),
-            StageTiming("init-sync", 0, 1, 1, 10.0),
         ]
         record = compute_efficiency(timings, 1, workers=1, wall_time=1.0)
         assert record.efficiency == pytest.approx(0.5)
-        assert "transfer-wait" not in MAIN_STAGES and "init-sync" not in MAIN_STAGES
+        assert "transfer-wait" not in MAIN_STAGES
 
     def test_master_gather_is_not_work(self):
         # the master's likelihood-gather spans the workers' run and observe;

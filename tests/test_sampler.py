@@ -138,7 +138,7 @@ class TestMhStep:
         assert not step.accepted
         assert abs(step.proposal["a"]) > 1.0
         assert step.theta == current.theta
-        assert step.diagnostics.filter is None
+        assert step.filter is None
 
     def test_evaluator_failure_wrapped_with_sample_index(self):
         def broken(theta, sample_index):
@@ -188,26 +188,7 @@ class TestRunChain:
         records = run_chain(settings, None, None, evaluator=_fixed_evaluator(-3.0))
         assert len(records) == 1
         assert records[0].accepted and records[0].sample_index == 0
-        assert records[0].diagnostics.rolling_acceptance == 1.0
         assert records[0].log_likelihood == -3.0
-
-    def test_rolling_acceptance_window(self):
-        """Evaluator alternates between a huge and a tiny likelihood, so
-        odd samples reject and even samples accept deterministically; the
-        3-wide rolling rate follows by hand."""
-        def alternating(theta, sample_index):
-            return Evaluation(1e9 if sample_index % 2 == 0 else -1e9, 0.0, None)
-
-        settings = SamplerSettings(Parameters({"a": 0.0}), 5, {"a": 0.1}, _WIDE, 4, 1,
-                                   acceptance_window=3)
-        records = run_chain(settings, None, None, evaluator=alternating)
-        assert [r.accepted for r in records] == [True, False, True, False, True]
-        rates = [r.diagnostics.rolling_acceptance for r in records]
-        assert rates[0] == 1.0
-        assert rates[1] == pytest.approx(1 / 2)
-        assert rates[2] == pytest.approx(2 / 3)
-        assert rates[3] == pytest.approx(1 / 3)
-        assert rates[4] == pytest.approx(2 / 3)
 
     def test_sample_indices_and_proposal_trace(self):
         settings = SamplerSettings(Parameters({"a": 0.0}), 4, {"a": 0.1}, _WIDE, 4, 1)
@@ -239,13 +220,9 @@ class TestRunChain:
     def test_settings_validation(self):
         with pytest.raises(ValidationError):
             SamplerSettings(Parameters({"a": 0.0}), 0, {"a": 0.1}, _WIDE, 4, 1)
-        with pytest.raises(ValidationError):
-            SamplerSettings(Parameters({"a": 0.0}), 2, {"a": 0.1}, _WIDE, 4, 1,
-                            acceptance_window=0)
-        for samples, window in ((2.5, 20), (True, 20), (2, 1.5)):
+        for samples in (2.5, True):
             with pytest.raises(ValidationError, match="must be an integer"):
-                SamplerSettings(Parameters({"a": 0.0}), samples, {"a": 0.1}, _WIDE, 4, 1,
-                                acceptance_window=window)
+                SamplerSettings(Parameters({"a": 0.0}), samples, {"a": 0.1}, _WIDE, 4, 1)
 
     def test_pseudo_marginal_wander_with_frozen_proposal(self):
         """Zero proposal scale leaves theta fixed, yet the chain still
