@@ -174,6 +174,7 @@ def cmd_run(config: EngineConfig) -> int:
         ensemble_size=config.particles,
         workers=config.workers,
     )
+    config.output_dir.mkdir(parents=True, exist_ok=True)      # fail before the chain, not after
     records = run_chain(settings, lambda: entry.factory(config.model_config),
                         observations, chain_index=config.seed)
     chain_path = config.output_dir / "chain.csv"
@@ -327,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(config)
         return cmd_run(config)
-    except (EngineError, ValidationError) as exc:
+    except (EngineError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

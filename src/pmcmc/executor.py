@@ -7,7 +7,7 @@ filtering pass over an observation series:
 2.  workers initialize their share of the ensemble, each particle on its
     own deterministically derived stream, and report nothing: the master
     knows the layout (``worker_lineages``) and goes straight on
-3.  broadcast the next observation event
+3.  broadcast the next observation event, with the routing of step 9
 4.  workers advance their particles to the event time, all of a
     worker's at once through ``Model.run_many``
 5.  workers evaluate observation likelihoods, gathered by the master in
@@ -19,11 +19,11 @@ filtering pass over an observation series:
 7.  the master resamples the ensemble (virtually: counts only)
 8.  the master computes the routing that rebalances the resampled
     ensemble across workers
-9.  routing slices are scattered to the workers
-10. workers (a) prune, (b) start asynchronous state transfers, (c) copy
-    local survivors into replicas while transfers are in flight, (d) load
-    received states and copy them into any further replicas, (e) drop
-    sent-away particles, (f) reseed every survivor, and wait for step 3
+9.  each worker's slice of the routing travels with the next step 3
+10. on it, before step 4, workers (a) prune, (b) start asynchronous state
+    transfers, (c) copy local survivors into replicas while transfers are
+    in flight, (d) load received states and copy them into any further
+    replicas, (e) drop sent-away particles and (f) reseed every survivor
 
 Replicas made on a worker copy the state only (``Model.copy_from``), not
 the random stream: step 10(f) restarts every survivor on the stream of
@@ -85,7 +85,6 @@ from .transport import (
     ErrorReport,
     ExitCommand,
     ParticleTransfer,
-    RouteCommand,
     WorkerReport,
 )
 
@@ -104,12 +103,12 @@ _STOP_BOUND = 0.5
 # Longest wait on the report channel between checks for a dead worker.
 _POLL_INTERVAL = 0.1
 
-# Share of ``timeout``, counted from the route command, within which a
-# worker must receive all its inbound transfers (step 10(d)). Its peers
-# send as soon as they hold the route command, while the master, which
-# scatters the routing and then the next event, waits the full ``timeout``
-# on that event's gather: a transfer that never comes is reported as the
-# receiving rank's own step-10(d) error, not as the master's gather timeout.
+# Share of ``timeout``, counted from the command that carries the routing
+# slice, within which a worker must receive all its inbound transfers (step
+# 10(d)). Its peers send as soon as they hold that command, while the
+# master, which sent it, waits the full ``timeout`` on the event's gather:
+# a transfer that never comes is reported as the receiving rank's own
+# step-10(d) error, not as the master's gather timeout.
 _TRANSFER_SHARE = 0.5
 
 
@@ -158,6 +157,7 @@ class _WorkerRuntime:
         inbox: Channel,
         peers: Mapping[int, Channel],
         timeout: float,
+        capacity: int,
     ):
         self.rank = rank
         self.lineages = lineages
@@ -168,6 +168,7 @@ class _WorkerRuntime:
         self.inbox = inbox
         self.peers = peers
         self.timeout = timeout
+        self.capacity = capacity        # most particles a worker may hold, ceil(p / W)
         self.particles: dict[int, Model] = {}
         self.sample_index = 0
         self.pending: list[StageTiming] = []
@@ -193,11 +194,12 @@ class _WorkerRuntime:
                     step = "2/init"
                     self._initialize(command)
                 elif isinstance(command, Advance):
-                    step = f"4/advance[{command.observation_index}]"
+                    j = command.observation_index
+                    if command.routing is not None:
+                        step = f"10/routing[{j - 1}]"
+                        self._apply_routing(j - 1, command.routing)
+                    step = f"4/advance[{j}]"
                     self._advance(command)
-                elif isinstance(command, RouteCommand):
-                    step = f"10/routing[{command.observation_index}]"
-                    self._apply_routing(command)
                 elif isinstance(command, ExitCommand):
                     return
                 else:
@@ -251,21 +253,23 @@ class _WorkerRuntime:
                                        tuple(self.pending), tuple(self.marks)))
         self.pending, self.marks = [], []
 
-    def _apply_routing(self, command: RouteCommand) -> None:
-        j = command.observation_index
+    def _apply_routing(self, j: int, entries: np.ndarray) -> None:
+        """Step 10 for event j's routing slice, its rows in any order."""
         deadline = monotonic() + _TRANSFER_SHARE * self.timeout      # for every inbound transfer
-        # rows (lineage, source, destination, new_id), sorted so that every
-        # group below lists its new ids, and the groups their keys, ascending
-        table = command.entries.astype(np.int64)
-        table = table[np.lexsort(table.T[::-1])]
-        from_here = table[:, 1] == self.rank
-        to_here = table[:, 2] == self.rank
-        if not np.all(from_here | to_here):
-            raise ProtocolError("routing slice names a foreign transfer",
-                                rank=self.rank, step=f"10/routing[{j}]")
-        keeps = _group(table[from_here & to_here], 0)         # lineage -> new ids
-        sends = _group(table[from_here & ~to_here], 0, 2)     # (lineage, destination) -> new ids
-        recvs = _group(table[~from_here & to_here], 0, 1)     # (lineage, source) -> new ids
+        keeps: dict = {}        # lineage -> new ids
+        sends: dict = {}        # (lineage, destination) -> new ids
+        recvs: dict = {}        # (lineage, source) -> new ids
+        for lineage, source, destination, new_id in entries.tolist():
+            if source == destination == self.rank:
+                group, key = keeps, lineage
+            elif source == self.rank:
+                group, key = sends, (lineage, destination)
+            elif destination == self.rank:
+                group, key = recvs, (lineage, source)
+            else:
+                raise ProtocolError("routing slice names a foreign transfer",
+                                    rank=self.rank, step=f"10/routing[{j}]")
+            group.setdefault(key, []).append(new_id)
         wanted = set(keeps) | {lineage for lineage, _ in sends}
         missing = wanted - set(self.particles)
         if missing:
@@ -279,7 +283,7 @@ class _WorkerRuntime:
 
         # 10(b): non-blocking sends, one per distinct (lineage, destination);
         # receives need no posting, the inbox accepts eagerly
-        for (lineage, destination), ids in sends.items():
+        for lineage, destination in sends:
             state = self.particles[lineage].save()
             self.peers[destination].send(ParticleTransfer(lineage, state, self.rank))
 
@@ -330,14 +334,14 @@ class _WorkerRuntime:
             replicate_time += perf_counter() - t0
 
         # 10(e): sends completed on enqueue; sent-only instances retire here
-        for (lineage, _destination), _ids in sends.items():
+        for lineage, _destination in sends:
             model = self.particles.get(lineage)
             if model is not None and lineage not in keeps:
                 self._pool.append(model)
                 self.particles.pop(lineage)
         self.particles = survivors
-        if len(self.particles) > command.w_max:
-            raise ProtocolError(f"holding {len(self.particles)} particles, limit {command.w_max}",
+        if len(self.particles) > self.capacity:
+            raise ProtocolError(f"holding {len(self.particles)} particles, limit {self.capacity}",
                                 rank=self.rank, step=f"10(e)/prune[{j}]")
 
         # 10(f): every survivor restarts on its own fresh derived stream
@@ -349,15 +353,6 @@ class _WorkerRuntime:
 
         self.pending.append(StageTiming("replicate", self.rank, self.sample_index, j, replicate_time))
         self.pending.append(StageTiming("transfer-wait", self.rank, self.sample_index, j, transfer_wait))
-
-
-def _group(rows: np.ndarray, *key_columns: int) -> dict:
-    """New ids (column 3) of sorted routing rows, grouped by the key columns."""
-    groups: dict = {}
-    for row in rows.tolist():
-        key = row[key_columns[0]] if len(key_columns) == 1 else tuple(row[c] for c in key_columns)
-        groups.setdefault(key, []).append(row[3])
-    return groups
 
 
 def _fork_context():
@@ -428,7 +423,8 @@ def run_particle_filter(
     counts (``resample_multinomial``) from the event's resampling stream.
     ``timeout`` is the longest wait, in seconds, for any one report from
     the workers, at most ``_MAX_TIMEOUT`` (1e6); a worker allows twice that
-    for its next command. Event 1's wait includes the workers' initialization.
+    for its next command. An event's wait includes what its command starts
+    first: the workers' initialization at event 1, placement after that.
 
     ``worker_dependent_seed_fault`` deliberately mixes the worker count
     into the resampling seed; the verification suite uses it to prove the
@@ -496,7 +492,7 @@ def run_particle_filter(
         for rank in range(workers):
             runtime = _WorkerRuntime(
                 rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
-                reports, inboxes[rank], {w: inboxes[w] for w in range(workers)}, timeout,
+                reports, inboxes[rank], dict(enumerate(inboxes)), timeout, math.ceil(p / workers),
             )
             if context is None:
                 launcher = threading.Thread(target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
@@ -509,10 +505,11 @@ def run_particle_filter(
             commands[rank].send(Broadcast(sample_index, parameters))
         # worker of each lineage
         held = np.array([rank for rank in range(workers) for _ in worker_lineages(rank, p, workers)])
+        slices = [None] * workers       # each rank's slice of the last routing
 
         for j, (target_time, data) in enumerate(observations, start=1):
             for rank in range(workers):
-                commands[rank].send(Advance(j, target_time, data))
+                commands[rank].send(Advance(j, target_time, data, slices[rank]))
             t0 = perf_counter()
             gathered_ids, gathered_weights = [], []
             for report in _gather(f"5/gather[{j}]"):
@@ -563,9 +560,8 @@ def run_particle_filter(
             move_fractions.append(move)
             copy_fractions.append(copy)
 
-            # step 9: scatter slices
-            for rank in range(workers):
-                commands[rank].send(RouteCommand(j, routing.slice_table(rank), routing.W_max))
+            # step 9: the slices ride on the next event's command
+            slices = [routing.slice_table(rank) for rank in range(workers)]
             held = routing.destination
     finally:
         _stop(started, commands, [*commands, reports, *inboxes])

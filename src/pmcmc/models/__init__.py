@@ -9,6 +9,7 @@ optional synthesizer producing artificial observation series.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -79,7 +80,10 @@ def _lg_synthesize(cfg, theta, times, seed):
 
 
 def _lg_parse(field: str, text: str):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"not a finite number: {text!r}")
+    return value
 
 
 _IBM_PROFILES = {"desk": DESK_DEFAULTS, "full": FULL_SCALE_DEFAULTS}

@@ -1,10 +1,10 @@
 """Message schema and channels for the master-worker runtime.
 
-Every message crossing a channel is a versioned, byte-serialized payload,
-so the protocol logic is the same whichever queue carries it: an
-in-process ``queue.Queue`` between threads, or a ``multiprocessing``
-queue between forked worker processes. Sends never block; receives
-take a timeout.
+Every message crossing a channel is a pickled dataclass, unversioned as
+master and workers are one program, so the protocol logic is the same
+whichever queue carries it: an in-process ``queue.Queue`` between
+threads, or a ``multiprocessing`` queue between forked worker processes.
+Sends never block; receives take a timeout.
 """
 
 from __future__ import annotations
@@ -19,20 +19,16 @@ import numpy as np
 from .core import Parameters, SerializationError
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "Advance",
     "Broadcast",
     "Channel",
     "ErrorReport",
     "ExitCommand",
     "ParticleTransfer",
-    "RouteCommand",
     "WorkerReport",
     "decode_message",
     "encode_message",
 ]
-
-PROTOCOL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -46,21 +42,15 @@ class Broadcast:
 @dataclass(frozen=True)
 class Advance:
     """Step 3: next observation event. observation_index is 1-based; 0 is
-    reserved for initialization in the seed hierarchy."""
+    reserved for initialization in the seed hierarchy. ``routing`` is step
+    9: this worker's slice of the previous event's routing, an int32
+    (m, 4) array of rows (lineage_id, source, destination, new_lineage_id),
+    or None at event 1."""
 
     observation_index: int
     target_time: float
     data: Mapping[str, Any]
-
-
-@dataclass(frozen=True)
-class RouteCommand:
-    """Step 9: this worker's slice of the routing, an int32 (m, 4) array
-    of rows (lineage_id, source, destination, new_lineage_id)."""
-
-    observation_index: int
-    entries: np.ndarray
-    w_max: int
+    routing: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -102,23 +92,21 @@ class ParticleTransfer:
 
 
 _MESSAGE_TYPES = (
-    Broadcast, Advance, RouteCommand, ExitCommand, WorkerReport, ErrorReport, ParticleTransfer,
+    Broadcast, Advance, ExitCommand, WorkerReport, ErrorReport, ParticleTransfer,
 )
 
 
 def encode_message(message) -> bytes:
     if not isinstance(message, _MESSAGE_TYPES):
         raise SerializationError(f"not a protocol message: {type(message).__name__}")
-    return pickle.dumps((PROTOCOL_VERSION, message), protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_message(payload: bytes):
     try:
-        version, message = pickle.loads(payload)
+        message = pickle.loads(payload)
     except Exception as exc:
         raise SerializationError(f"undecodable message: {exc}") from exc
-    if version != PROTOCOL_VERSION:
-        raise SerializationError(f"protocol version mismatch: got {version}, expected {PROTOCOL_VERSION}")
     if not isinstance(message, _MESSAGE_TYPES):
         raise SerializationError(f"unexpected message payload: {type(message).__name__}")
     return message

@@ -24,13 +24,13 @@ ROOT = Path(pmcmc.__file__).resolve().parents[2]
 UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
 
 
-def _loaded_names(paths=None) -> set:
+def _loaded_names(paths=None, attributes_only=False) -> set:
     """Every name or attribute the package (or the given files) reads;
     imports and ``__all__`` strings are not reads."""
     names = set()
     for path in paths or Path(pmcmc.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
@@ -77,8 +77,9 @@ def test_model_contract_is_closed():
 
 def test_protocol_is_closed():
     """The protocol's messages are exactly the dataclasses ``transport.py``
-    defines, and the executor reads each by name: a message type that
-    nothing sends or receives fails here."""
+    defines, and the executor reads each by name and every field of each
+    as an attribute: a message type or field that nothing sends or
+    receives fails here."""
     transport = pmcmc.transport
     defined = {obj for obj in vars(transport).values()
                if dataclasses.is_dataclass(obj) and obj.__module__ == transport.__name__}
@@ -86,3 +87,7 @@ def test_protocol_is_closed():
     executor = Path(pmcmc.__file__).parent / "executor.py"
     unread = {cls.__name__ for cls in defined} - _loaded_names([executor])
     assert not unread, f"message types the executor never reads: {sorted(unread)}"
+    attributes = _loaded_names([executor], attributes_only=True)
+    unread = sorted(f"{cls.__name__}.{field.name}" for cls in defined
+                    for field in dataclasses.fields(cls) if field.name not in attributes)
+    assert not unread, f"message fields the executor never reads: {unread}"

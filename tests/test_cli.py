@@ -337,6 +337,35 @@ class TestMainErrors:
             assert err.startswith("error: ") and needle in err and "Traceback" not in err
         assert not (tmp_path / "obs.csv").exists()
 
+    def test_unwritable_output_fails_before_the_chain(self, tmp_path, capsys, monkeypatch):
+        config = _write_config(tmp_path, _LG_YAML)
+        assert main(["synth", "--config", str(config)]) == 0
+        (tmp_path / "outfile").write_text("")
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran before the output path was checked")
+
+        monkeypatch.setattr("pmcmc.cli.run_chain", no_chain)
+        assert main(["run", "--config", str(config), "--output", str(tmp_path / "outfile")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "outfile" in err and "Traceback" not in err
+
+    def test_synth_to_a_directory_fails_cleanly(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _LG_YAML.replace("obs.csv", "obsdir"))
+        (tmp_path / "obsdir").mkdir()
+        assert main(["synth", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "obsdir" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_observation_fails_cleanly(self, tmp_path, capsys, text):
+        config = _write_config(tmp_path, _LG_YAML)
+        (tmp_path / "obs.csv").write_text(f"time,y\n2,0.5\n4,{text}\n")
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"obs.csv line 3, field 'y': not a finite number: '{text}'" in err
+
     def test_acceptance_window_is_unknown(self, tmp_path, capsys):
         config = _write_config(tmp_path, _LG_YAML + "acceptance_window: 20\n")
         assert main(["run", "--config", str(config)]) == 2

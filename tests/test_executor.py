@@ -31,7 +31,7 @@ from pmcmc.instrumentation import MASTER_RANK, STAGES
 from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel, get_model_entry
 from pmcmc.models.predator_prey import DESK_DEFAULTS, ibm_synthesize
 from pmcmc.routing import Routing
-from pmcmc.transport import Broadcast, Channel, ParticleTransfer, RouteCommand
+from pmcmc.transport import Broadcast, Channel, ParticleTransfer
 
 _OBS = ObservationSeries((5, 10, 15, 20),
                          ({"y": 0.3}, {"y": -0.1}, {"y": 0.5}, {"y": 0.2}))
@@ -461,24 +461,23 @@ def _count_messages(monkeypatch) -> dict:
 
 
 class TestMessageCount:
-    """A pass is one report per worker per event: no message beyond the
-    broadcast, the events, their routing and the exit."""
+    """A pass is one command and one report per worker per event, the
+    routing riding on the next event's command: no message beyond the
+    broadcast, the events and the exit."""
 
     def test_full_pass(self, monkeypatch):
         sent = _count_messages(monkeypatch)
         n = len(_OBS)
         run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1)
-        assert sent == {"Broadcast": 1, "Advance": n, "RouteCommand": n - 1,
-                        "ExitCommand": 1, "WorkerReport": n}
-        assert sum(sent.values()) == 3 * n + 1
+        assert sent == {"Broadcast": 1, "Advance": n, "ExitCommand": 1, "WorkerReport": n}
+        assert sum(sent.values()) == 2 * n + 2
 
     def test_degenerate_break(self, monkeypatch):
         sent = _count_messages(monkeypatch)
         obs = ObservationSeries((1, 2, 3), ({"y": 0.3}, {"y": 1e200}, {"y": 0.5}))
         result = run_particle_filter(LinearGaussianModel, _THETA, obs, 8, 1)
         assert result.diagnostics.degenerate_observations == (2,)
-        assert sent == {"Broadcast": 1, "Advance": 2, "RouteCommand": 1,
-                        "ExitCommand": 1, "WorkerReport": 2}
+        assert sent == {"Broadcast": 1, "Advance": 2, "ExitCommand": 1, "WorkerReport": 2}
 
 
 class _BatchCounted(LinearGaussianModel):
@@ -556,9 +555,31 @@ def _runtime(rank, p, W, timeout=0.2):
     commands, reports = Channel(), Channel()
     inboxes = {w: Channel() for w in range(W)}
     rt = _WorkerRuntime(rank, worker_lineages(rank, p, W), LinearGaussianModel, 0, commands,
-                        reports, inboxes[rank], inboxes, timeout)
+                        reports, inboxes[rank], inboxes, timeout, math.ceil(p / W))
     rt._initialize(Broadcast(0, _THETA))
     return rt
+
+
+def _states(rt) -> dict:
+    """Every particle a worker holds, by new lineage id, as saved bytes."""
+    return {lineage: model.save() for lineage, model in rt.particles.items()}
+
+
+def _sent(rt) -> list:
+    """Drain the transfers a worker sent its peers: (destination, transfer)."""
+    sent = []
+    for destination, channel in rt.peers.items():
+        while True:
+            try:
+                sent.append((destination, channel.recv(0)))
+            except queue.Empty:
+                break
+    return sent
+
+
+# a slice as the master sends it, or its rows reversed: placement must
+# not depend on their order
+_ORDERS = {"given": lambda rows: rows, "reversed": lambda rows: rows[::-1]}
 
 
 class TestPlacementSteps:
@@ -567,64 +588,74 @@ class TestPlacementSteps:
     def test_identity_slice_keeps_instances(self):
         rt = _runtime(0, 4, 2)
         before = dict(rt.particles)
-        rt._apply_routing(RouteCommand(1, _slice((0, 0, 0, 0), (1, 0, 0, 1)), 2))
+        rt._apply_routing(1, _slice((0, 0, 0, 0), (1, 0, 0, 1)))
         assert set(rt.particles) == {0, 1}
         for lin in (0, 1):
             assert rt.particles[lin] is before[lin]
 
-    def test_receiving_worker_replicates_transfer(self):
+    @pytest.mark.parametrize("order", _ORDERS)
+    def test_receiving_worker_replicates_transfer(self, order):
         donor = LinearGaussianModel()
         donor.init(_THETA, seed=123)
         donor.run(5)
-        rt = _runtime(1, 8, 4)                  # resident lineages 2, 3
-        rt.inbox.send(ParticleTransfer(0, donor.save(), 0))
-        rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2), (0, 0, 1, 3)), 2))
-        assert set(rt.particles) == {2, 3}
-        assert rt.particles[2].latent == donor.latent
-        assert rt.particles[3].latent == donor.latent
-        assert rt.particles[2] is not rt.particles[3]
+        entries = _slice((0, 0, 1, 2), (0, 0, 1, 3))
+        placed = []
+        for rows in (_ORDERS[order](entries), entries):
+            rt = _runtime(1, 8, 4)              # resident lineages 2, 3
+            rt.inbox.send(ParticleTransfer(0, donor.save(), 0))
+            rt._apply_routing(1, rows)
+            placed.append((_states(rt), _sent(rt)))
+            assert set(rt.particles) == {2, 3}
+            assert rt.particles[2].latent == donor.latent
+            assert rt.particles[3].latent == donor.latent
+            assert rt.particles[2] is not rt.particles[3]
+        assert placed[0] == placed[1]
 
     def test_full_eviction_leaves_no_residents(self):
         rt = _runtime(0, 4, 2)
-        rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 0), (1, 0, 1, 1)), 2))
+        rt._apply_routing(1, _slice((0, 0, 1, 0), (1, 0, 1, 1)))
         assert rt.particles == {}
         # both states were shipped to worker 1's inbox
         assert rt.peers[1].recv(0.1).lineage_id == 0
         assert rt.peers[1].recv(0.1).lineage_id == 1
 
-    def test_distinct_destination_pairs_travel_once(self):
-        rt = _runtime(0, 4, 2)
+    @pytest.mark.parametrize("order", _ORDERS)
+    def test_distinct_destination_pairs_travel_once(self, order):
         entries = _slice((0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2), (1, 0, 0, 3))
-        rt._apply_routing(RouteCommand(1, entries, 2))
-        transfer = rt.peers[1].recv(0.1)
-        assert transfer.lineage_id == 0
-        with pytest.raises(queue.Empty):
-            rt.peers[1].recv(0.05)              # one send despite two replicas
-        assert set(rt.particles) == {2, 3}
+        placed = []
+        for rows in (_ORDERS[order](entries), entries):
+            rt = _runtime(0, 4, 2)
+            rt._apply_routing(1, rows)
+            sent = _sent(rt)
+            # one send despite two replicas
+            assert [(destination, t.lineage_id) for destination, t in sent] == [(1, 0)]
+            assert set(rt.particles) == {2, 3}
+            placed.append((_states(rt), sent))
+        assert placed[0] == placed[1]
 
     def test_foreign_entry_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, _slice((2, 1, 1, 0)), 2))
+            rt._apply_routing(1, _slice((2, 1, 1, 0)))
         assert "foreign" in str(info.value)
 
     def test_non_resident_reference_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, _slice((3, 0, 0, 0)), 2))
+            rt._apply_routing(1, _slice((3, 0, 0, 0)))
         assert "non-resident" in str(info.value)
 
     def test_unsolicited_transfer_rejected(self):
         rt = _runtime(1, 8, 4)
         rt.inbox.send(ParticleTransfer(5, b"", 0))
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2)), 2))
+            rt._apply_routing(1, _slice((0, 0, 1, 2)))
         assert "unsolicited" in str(info.value)
 
     def test_missing_transfer_times_out(self):
         rt = _runtime(1, 8, 4)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, _slice((0, 0, 1, 2)), 2))
+            rt._apply_routing(1, _slice((0, 0, 1, 2)))
         assert info.value.step == "10(d)/receive[1]"
         assert "missing" in str(info.value)
 
@@ -632,16 +663,16 @@ class TestPlacementSteps:
         rt = _runtime(0, 4, 2)
         entries = _slice((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 2))
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(RouteCommand(1, entries, 2))
+            rt._apply_routing(1, entries)
         assert info.value.step == "10(e)/prune[1]"
 
     def test_survivors_reseeded_to_new_identity(self):
         # two runtimes arrive at the same new lineage id by different
         # placements; their streams must coincide afterwards
         rt_a = _runtime(0, 2, 1)
-        rt_a._apply_routing(RouteCommand(1, _slice((0, 0, 0, 0), (0, 0, 0, 1)), 2))
+        rt_a._apply_routing(1, _slice((0, 0, 0, 0), (0, 0, 0, 1)))
         rt_b = _runtime(0, 2, 1)
-        rt_b._apply_routing(RouteCommand(1, _slice((0, 0, 0, 1), (1, 0, 0, 0)), 2))
+        rt_b._apply_routing(1, _slice((0, 0, 0, 1), (1, 0, 0, 0)))
         a_draw = rt_a.particles[1]._rng.random()
         b_draw = rt_b.particles[1]._rng.random()
         assert a_draw == b_draw
