@@ -252,8 +252,7 @@ def _check_worker_invariance(seed: int, fault: bool) -> tuple[bool, str]:
                        else "estimates differ across worker counts")
 
 
-def cmd_check(config: EngineConfig | None, *, fault: bool = False) -> int:
-    seed = 7 if config is None else config.seed
+def cmd_check(seed: int, *, fault: bool = False) -> int:
     checks = [
         ("pf-vs-kalman", _check_pf_vs_kalman),
         ("routing-battery", _check_routing_battery),
@@ -281,21 +280,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pmcmc",
         description="Particle MCMC engine: calibrate stochastic models against time series.",
     )
+    options = {
+        "--config": dict(type=Path, metavar="PATH", help="YAML engine configuration"),
+        "--workers": dict(type=int, metavar="N", help="override the configured worker count"),
+        "--seed": dict(type=int, metavar="S", help="override the configured seed"),
+        "--output": dict(type=Path, metavar="DIR", dest="output_dir",
+                         help="override the configured output directory"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "write a synthetic observation CSV for the configured model"),
-        ("run", "run the MCMC chain and write chain.csv and diagnostics.csv"),
-        ("check", "run the built-in verification suite (needs no data files)"),
+    for name, help_text, flags in (
+        ("synth", "write a synthetic observation CSV for the configured model", ("--config", "--seed")),
+        ("run", "run the MCMC chain and write chain.csv and diagnostics.csv", tuple(options)),
+        ("check", "run the built-in verification suite (needs no data files)", ("--config", "--seed")),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, metavar="PATH",
-                         help="YAML engine configuration")
-        cmd.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="override the configured worker count")
-        cmd.add_argument("--seed", type=int, default=None, metavar="S",
-                         help="override the configured seed")
-        cmd.add_argument("--output", type=Path, default=None, metavar="DIR",
-                         help="override the configured output directory")
+        for flag in flags:
+            cmd.add_argument(flag, **options[flag])
         if name == "check":
             cmd.add_argument("--fault-worker-seeds", action="store_true",
                              help="deliberately tie resampling seeds to the worker count "
@@ -307,13 +307,8 @@ def _load_with_overrides(args) -> EngineConfig | None:
     if args.config is None:
         return None
     config = load_config(args.config)
-    updates = {}
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.output is not None:
-        updates["output_dir"] = Path(args.output)
+    updates = {name: value for name, value in vars(args).items()
+               if name in ("workers", "seed", "output_dir") and value is not None}
     return replace(config, **updates) if updates else config
 
 
@@ -322,7 +317,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_with_overrides(args)
         if args.command == "check":
-            return cmd_check(config, fault=args.fault_worker_seeds)
+            seed = args.seed if config is None else config.seed
+            return cmd_check(7 if seed is None else seed, fault=args.fault_worker_seeds)
         if config is None:
             raise ValidationError(f"{args.command} requires --config PATH")
         if args.command == "synth":

@@ -97,9 +97,11 @@ class EngineConfig:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        for name in self.proposal_scales:
+        for name, scale in self.proposal_scales.items():
             if name not in self.initial:
                 raise ValidationError(f"proposal_scales names unknown parameter {name!r}")
+            if scale < 0:
+                raise ValidationError(f"proposal_scales.{name} must be >= 0, got {scale!r}")
         for name in self.prior_spec:
             if name not in self.initial:
                 raise ValidationError(f"prior names unknown parameter {name!r}")

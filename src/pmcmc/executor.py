@@ -38,12 +38,13 @@ assigned by the deterministic routing, never by arrival order.
 A single worker is a thread of the calling process. Two or more are
 processes forked for the pass, so CPU-bound models run in parallel
 rather than taking turns on the interpreter lock; where the platform has
-no ``fork`` start method they are threads too. Either way they run the
-same worker state machine over the same byte channels. When the pass
-ends, after its last event or on a failure (a worker's error report, a
-timeout or an exception on the master), every worker is told to exit, and
-any still running after ``_STOP_BOUND`` seconds is terminated (a thread
-cannot be, and is left to finish its current command).
+no ``fork`` start method they are threads too. Threads and forked
+processes start the same ``_WorkerRuntime.run`` over the same byte
+channels. When the pass ends, after its last event or on a failure (a
+worker's error report, a timeout or an exception on the master), every
+worker is told to exit, and any still running after ``_STOP_BOUND``
+seconds is terminated (a thread cannot be, and is left to finish its
+current command).
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ class _WorkerRuntime:
         chain_index: int,
         commands: Channel,
         reports: Channel,
-        inbox: Channel,
         peers: Mapping[int, Channel],
         timeout: float,
         capacity: int,
@@ -165,7 +165,7 @@ class _WorkerRuntime:
         self.chain_index = chain_index
         self.commands = commands
         self.reports = reports
-        self.inbox = inbox
+        self.inbox = peers[rank]
         self.peers = peers
         self.timeout = timeout
         self.capacity = capacity        # most particles a worker may hold, ceil(p / W)
@@ -210,6 +210,12 @@ class _WorkerRuntime:
             self.reports.send(ErrorReport(self.rank, exc.step or step, exc.message))
         except Exception as exc:
             self.reports.send(ErrorReport(self.rank, step, f"{type(exc).__name__}: {exc}"))
+        finally:
+            # a forked worker exits without waiting on peers that may never
+            # read what it sent them, but flushes its reports (no-ops on a thread)
+            for channel in self.peers.values():
+                channel.abandon()
+            self.reports.close()
 
     # -- steps ----------------------------------------------------------
 
@@ -225,9 +231,8 @@ class _WorkerRuntime:
         t0 = perf_counter()
         self.particles = {}
         for lineage, seed in zip(self.lineages, self._seeds(0, self.lineages)):
-            model = self.model_factory()
+            self.particles[lineage] = model = self._replica()
             model.init(command.parameters, seed)
-            self.particles[lineage] = model
         self.pending.append(StageTiming("init", self.rank, self.sample_index, 0, perf_counter() - t0))
 
     def _advance(self, command: Advance) -> None:
@@ -253,96 +258,84 @@ class _WorkerRuntime:
                                        tuple(self.pending), tuple(self.marks)))
         self.pending, self.marks = [], []
 
+    def _place(self, model: Model, ids: list) -> None:
+        """Steps 10(c) and 10(d) for one parent, resident or just loaded:
+        it takes the first of its new ids, and replicas that copy its state
+        (not its stream, which 10(f) restarts) take the rest."""
+        self.particles[ids[0]] = model
+        for new_id in ids[1:]:
+            self.particles[new_id] = replica = self._replica()
+            replica.copy_from(model)
+
     def _apply_routing(self, j: int, entries: np.ndarray) -> None:
         """Step 10 for event j's routing slice, its rows in any order."""
         deadline = monotonic() + _TRANSFER_SHARE * self.timeout      # for every inbound transfer
-        keeps: dict = {}        # lineage -> new ids
-        sends: dict = {}        # (lineage, destination) -> new ids
-        recvs: dict = {}        # (lineage, source) -> new ids
+        rank = self.rank
+        groups: dict = {}       # (lineage, source, destination) -> new ids
         for lineage, source, destination, new_id in entries.tolist():
-            if source == destination == self.rank:
-                group, key = keeps, lineage
-            elif source == self.rank:
-                group, key = sends, (lineage, destination)
-            elif destination == self.rank:
-                group, key = recvs, (lineage, source)
-            else:
+            if source != rank and destination != rank:
                 raise ProtocolError("routing slice names a foreign transfer",
-                                    rank=self.rank, step=f"10/routing[{j}]")
-            group.setdefault(key, []).append(new_id)
-        wanted = set(keeps) | {lineage for lineage, _ in sends}
+                                    rank=rank, step=f"10/routing[{j}]")
+            groups.setdefault((lineage, source, destination), []).append(new_id)
+        wanted = {lineage for lineage, source, _ in groups if source == rank}
+        kept = {lineage for lineage, source, destination in groups if source == destination}
         missing = wanted - set(self.particles)
         if missing:
             raise ProtocolError(f"routing references non-resident particles {sorted(missing)}",
-                                rank=self.rank, step=f"10(a)/prune[{j}]")
+                                rank=rank, step=f"10(a)/prune[{j}]")
 
         # 10(a): drop particles neither kept here nor routed anywhere else
-        retired = {lin: m for lin, m in self.particles.items() if lin not in wanted}
-        self._pool.extend(retired.values())
-        self.particles = {lin: m for lin, m in self.particles.items() if lin in wanted}
+        self._pool.extend(m for lin, m in self.particles.items() if lin not in wanted)
+        parents = {lin: m for lin, m in self.particles.items() if lin in wanted}
+        self.particles = {}         # by new id from here on
 
         # 10(b): non-blocking sends, one per distinct (lineage, destination);
         # receives need no posting, the inbox accepts eagerly
-        for lineage, destination in sends:
-            state = self.particles[lineage].save()
-            self.peers[destination].send(ParticleTransfer(lineage, state, self.rank))
+        for lineage, source, destination in groups:
+            if source == rank != destination:
+                state = parents[lineage].save()
+                self.peers[destination].send(ParticleTransfer(lineage, state, rank))
 
-        # 10(c): copy local survivors into their replicas, stream aside,
-        # while any transfers are in flight
-        self.marks.append((self.rank, "replicate-start", j, monotonic()))
-        replicate_time = 0.0
-        survivors: dict[int, Model] = {}
+        # 10(c): place local survivors while any transfers are in flight
+        self.marks.append((rank, "replicate-start", j, monotonic()))
         t0 = perf_counter()
-        for lineage, ids in keeps.items():
-            original = self.particles[lineage]
-            survivors[ids[0]] = original
-            for new_id in ids[1:]:
-                replica = self._replica()
-                replica.copy_from(original)
-                survivors[new_id] = replica
-        replicate_time += perf_counter() - t0
+        for (lineage, source, destination), ids in groups.items():
+            if source == destination:
+                self._place(parents[lineage], ids)
+        replicate_time = perf_counter() - t0
 
-        # 10(d): consume inbound transfers, replicating as needed
+        # 10(d): load inbound transfers and place them
         transfer_wait = 0.0
-        outstanding = dict(recvs)
+        outstanding = {(lineage, source): ids for (lineage, source, _), ids in groups.items()
+                       if source != rank}
         while outstanding:
             t0 = perf_counter()
             try:
                 transfer = self.inbox.recv(max(deadline - monotonic(), 0.0))
             except queue.Empty:
                 raise ProtocolError(f"missing expected transfers {sorted(outstanding)}",
-                                    rank=self.rank, step=f"10(d)/receive[{j}]")
+                                    rank=rank, step=f"10(d)/receive[{j}]")
             transfer_wait += perf_counter() - t0
             if not isinstance(transfer, ParticleTransfer):
                 raise ProtocolError(f"unexpected peer message {type(transfer).__name__}",
-                                    rank=self.rank, step=f"10(d)/receive[{j}]")
+                                    rank=rank, step=f"10(d)/receive[{j}]")
             key = (transfer.lineage_id, transfer.source)
             if key not in outstanding:
                 raise ProtocolError(f"unsolicited transfer of lineage {transfer.lineage_id} "
                                     f"from worker {transfer.source}",
-                                    rank=self.rank, step=f"10(d)/receive[{j}]")
-            self.marks.append((self.rank, "receive-complete", j, monotonic()))
-            ids = outstanding.pop(key)
+                                    rank=rank, step=f"10(d)/receive[{j}]")
+            self.marks.append((rank, "receive-complete", j, monotonic()))
             t0 = perf_counter()
             received = self._replica()
             received.load(transfer.state)
-            survivors[ids[0]] = received
-            for new_id in ids[1:]:
-                replica = self._replica()
-                replica.copy_from(received)
-                survivors[new_id] = replica
+            self._place(received, outstanding.pop(key))
             replicate_time += perf_counter() - t0
 
         # 10(e): sends completed on enqueue; sent-only instances retire here
-        for lineage, _destination in sends:
-            model = self.particles.get(lineage)
-            if model is not None and lineage not in keeps:
-                self._pool.append(model)
-                self.particles.pop(lineage)
-        self.particles = survivors
+        self._pool.extend(parents[lineage] for lineage in wanted - kept)
         if len(self.particles) > self.capacity:
             raise ProtocolError(f"holding {len(self.particles)} particles, limit {self.capacity}",
-                                rank=self.rank, step=f"10(e)/prune[{j}]")
+                                rank=rank, step=f"10(e)/prune[{j}]")
 
         # 10(f): every survivor restarts on its own fresh derived stream
         t0 = perf_counter()
@@ -351,8 +344,8 @@ class _WorkerRuntime:
             self.particles[new_id].reseed(seed)
         replicate_time += perf_counter() - t0
 
-        self.pending.append(StageTiming("replicate", self.rank, self.sample_index, j, replicate_time))
-        self.pending.append(StageTiming("transfer-wait", self.rank, self.sample_index, j, transfer_wait))
+        self.pending.append(StageTiming("replicate", rank, self.sample_index, j, replicate_time))
+        self.pending.append(StageTiming("transfer-wait", rank, self.sample_index, j, transfer_wait))
 
 
 def _fork_context():
@@ -364,18 +357,6 @@ def _fork_context():
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
-
-
-def _run_forked(runtime: _WorkerRuntime) -> None:
-    """Worker process body: run the state machine, then exit without
-    waiting on peers that may never read what was sent them. Reports are
-    flushed, the master reads them until the pass ends."""
-    try:
-        runtime.run()
-    finally:
-        for channel in runtime.peers.values():
-            channel.abandon()
-        runtime.reports.close()
 
 
 def _stop(started: list, commands: list, channels: list) -> None:
@@ -492,13 +473,10 @@ def run_particle_filter(
         for rank in range(workers):
             runtime = _WorkerRuntime(
                 rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
-                reports, inboxes[rank], dict(enumerate(inboxes)), timeout, math.ceil(p / workers),
+                reports, dict(enumerate(inboxes)), timeout, math.ceil(p / workers),
             )
-            if context is None:
-                launcher = threading.Thread(target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
-            else:
-                launcher = context.Process(target=_run_forked, args=(runtime,),
-                                           name=f"pf-worker-{rank}", daemon=True)
+            launcher = (threading.Thread if context is None else context.Process)(
+                target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
             launcher.start()
             started.append(launcher)
         for rank in range(workers):

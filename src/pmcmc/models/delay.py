@@ -7,6 +7,7 @@ The sleep releases the interpreter lock, so even worker threads overlap.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Mapping
 
@@ -21,8 +22,8 @@ class DelayModel(Model):
     _FIELDS = ("_delay_s", "_time", "_ready")
 
     def __init__(self, delay_ms: float = 5.0):
-        if delay_ms < 0:
-            raise ValidationError(f"delay_ms must be >= 0, got {delay_ms}")
+        if not 0 <= delay_ms < math.inf:
+            raise ValidationError(f"delay_ms must be finite and >= 0, got {delay_ms}")
         self._delay_s = float(delay_ms) / 1000.0
         self._time = 0.0
         self._ready = False

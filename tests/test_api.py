@@ -7,12 +7,17 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
+from test_executor import _OBS, _THETA, _FaultyModel, _point_mass_resampler, _use_resampler
 
 import pmcmc
+import pmcmc.executor
 import pmcmc.transport
+from pmcmc.core import ProtocolError
+from pmcmc.executor import run_particle_filter
 from pmcmc.models import DelayModel, LinearGaussianModel, Model, PredatorPreyModel
 
 MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc.__path__, "pmcmc."))
@@ -24,13 +29,13 @@ ROOT = Path(pmcmc.__file__).resolve().parents[2]
 UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
 
 
-def _loaded_names(paths=None, attributes_only=False) -> set:
+def _loaded_names(paths=None) -> set:
     """Every name or attribute the package (or the given files) reads;
     imports and ``__all__`` strings are not reads."""
     names = set()
     for path in paths or Path(pmcmc.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
@@ -75,19 +80,36 @@ def test_model_contract_is_closed():
         assert own == ({"reseed"} if cls is DelayModel else set()), cls.__name__
 
 
-def test_protocol_is_closed():
+def test_protocol_is_closed(monkeypatch):
     """The protocol's messages are exactly the dataclasses ``transport.py``
-    defines, and the executor reads each by name and every field of each
-    as an attribute: a message type or field that nothing sends or
-    receives fails here."""
+    defines, the executor names each type, and it reads every field of
+    each at run time: a message type or field that nothing sends or
+    receives fails here. Two in-process passes send every type, one
+    moving particles between two workers and one whose model fails."""
     transport = pmcmc.transport
     defined = {obj for obj in vars(transport).values()
                if dataclasses.is_dataclass(obj) and obj.__module__ == transport.__name__}
     assert set(transport._MESSAGE_TYPES) == defined
-    executor = Path(pmcmc.__file__).parent / "executor.py"
-    unread = {cls.__name__ for cls in defined} - _loaded_names([executor])
+    executor = pmcmc.executor.__file__
+    unread = {cls.__name__ for cls in defined} - _loaded_names([Path(executor)])
     assert not unread, f"message types the executor never reads: {sorted(unread)}"
-    attributes = _loaded_names([executor], attributes_only=True)
-    unread = sorted(f"{cls.__name__}.{field.name}" for cls in defined
-                    for field in dataclasses.fields(cls) if field.name not in attributes)
+
+    fields = {f"{cls.__name__}.{field.name}" for cls in defined for field in dataclasses.fields(cls)}
+    read = set()
+
+    def recording(self, name):
+        # record field reads made by the executor's own code, not by pickle
+        if sys._getframe(1).f_code.co_filename == executor:
+            read.add(f"{type(self).__name__}.{name}")
+        return object.__getattribute__(self, name)
+
+    for cls in defined:
+        monkeypatch.setattr(cls, "__getattribute__", recording)
+    monkeypatch.setattr(pmcmc.executor, "_fork_context", lambda: None)
+    _use_resampler(monkeypatch, _point_mass_resampler)
+    result = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2)
+    assert sum(result.diagnostics.move_fractions) > 0
+    with pytest.raises(ProtocolError, match="injected run fault"):
+        run_particle_filter(lambda: _FaultyModel("run", 3), _THETA, _OBS, 4, 2)
+    unread = sorted(fields - read)
     assert not unread, f"message fields the executor never reads: {unread}"

@@ -122,6 +122,9 @@ class TestConfigLoading:
             (_DESK_YAML.replace("  profile: desk", "  profile: desk\n  initial_prey: abc"),
              "model.initial_prey"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: linear_gaussian\n  q: big"), "model.q"),
+            (_LG_YAML.replace("  a: 0.3", "  a: -0.1"), "proposal_scales.a"),
+            (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .nan"), "delay_ms"),
+            (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .inf"), "delay_ms"),
         ]
         for text, needle in cases:
             with pytest.raises(ValidationError) as info:
@@ -316,11 +319,30 @@ class TestCheckCommand:
         assert "PASS pf-vs-kalman" in out
         assert "PASS routing-battery" in out
 
+    def test_seed_without_config_reaches_the_checks(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(seed, fault):
+            seen.append(seed)
+            return True, "stubbed"
+
+        for name in ("_check_pf_vs_kalman", "_check_routing_battery", "_check_worker_invariance"):
+            monkeypatch.setattr(f"pmcmc.cli.{name}", stub)
+        assert main(["check", "--seed", "11"]) == 0
+        assert seen == [11, 11, 11]
+
 
 class TestMainErrors:
     def test_run_requires_config(self, capsys):
         assert main(["run"]) == 2
         assert "requires --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["synth", "--workers", "2"], ["check", "--output", "d"]])
+    def test_unread_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "nope.yaml")]) == 2

@@ -555,7 +555,7 @@ def _runtime(rank, p, W, timeout=0.2):
     commands, reports = Channel(), Channel()
     inboxes = {w: Channel() for w in range(W)}
     rt = _WorkerRuntime(rank, worker_lineages(rank, p, W), LinearGaussianModel, 0, commands,
-                        reports, inboxes[rank], inboxes, timeout, math.ceil(p / W))
+                        reports, inboxes, timeout, math.ceil(p / W))
     rt._initialize(Broadcast(0, _THETA))
     return rt
 
@@ -632,6 +632,16 @@ class TestPlacementSteps:
             assert set(rt.particles) == {2, 3}
             placed.append((_states(rt), sent))
         assert placed[0] == placed[1]
+
+    def test_kept_and_sent_lineage_stays_and_travels_once(self):
+        rt = _runtime(0, 4, 2)
+        before = dict(rt.particles)
+        rt._apply_routing(1, _slice((0, 0, 0, 0), (0, 0, 1, 2)))
+        assert set(rt.particles) == {0} and rt.particles[0] is before[0]
+        assert [(destination, t.lineage_id) for destination, t in _sent(rt)] == [(1, 0)]
+        # the kept parent is not recycled; the one routed nowhere is
+        assert not any(model is before[0] for model in rt._pool)
+        assert any(model is before[1] for model in rt._pool)
 
     def test_foreign_entry_rejected(self):
         rt = _runtime(0, 4, 2)
