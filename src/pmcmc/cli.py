@@ -222,7 +222,7 @@ def _check_routing_battery(seed: int, fault: bool) -> tuple[bool, str]:
             held = np.sort(rng.integers(0, workers, size=p))
         routing = compute_routing(counts, held, workers)
         w_max = -(-p // workers)
-        loads = np.bincount(routing.destination, minlength=workers)
+        loads = np.bincount(routing.destination, weights=routing.copies, minlength=workers)
         moved = routing.destination != routing.source
         if routing.ensemble_size != p:
             return False, f"case {case}: {routing.ensemble_size} entries for p={p}"
@@ -231,7 +231,8 @@ def _check_routing_battery(seed: int, fault: bool) -> tuple[bool, str]:
         for worker in sorted(set(routing.source[moved].tolist())):
             if loads[worker] < w_max:
                 return False, f"case {case}: moved off worker {worker} despite spare capacity"
-        if all(c == 1 for c in counts) and moved.any():
+        # an identity resample stays put wherever its layout fits the capacity
+        if all(c == 1 for c in counts) and np.bincount(held).max() <= w_max and moved.any():
             return False, f"case {case}: identity resample produced moves"
     return True, f"{instances} randomized instances satisfied all routing properties"
 

@@ -117,14 +117,14 @@ def _build_marginal(name: str, spec: Mapping[str, Any]):
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise ValidationError(f"prior.{name} must be a mapping with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
-    if kind not in _PRIOR_KINDS:
+    if not isinstance(kind, str) or kind not in _PRIOR_KINDS:
         raise ValidationError(f"prior.{name}.kind must be one of {sorted(_PRIOR_KINDS)}, got {kind!r}")
     cls, keys = _PRIOR_KINDS[kind]
     extra = set(spec) - {"kind", *keys}
     if extra:
         raise ValidationError(f"prior.{name} has unexpected keys {sorted(extra)}")
     try:
-        args = {k: float(spec[k]) for k in keys}
+        args = {k: _as_float(spec[k], f"prior.{name}.{k}") for k in keys}
     except KeyError as exc:
         raise ValidationError(f"prior.{name} ({kind}) is missing key {exc.args[0]!r}") from None
     return cls(**args)
@@ -139,15 +139,19 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
 def _float_map(raw: Any, context: str) -> dict[str, float]:
     if not isinstance(raw, Mapping) or not raw:
         raise ValidationError(f"{context} must be a nonempty mapping, got {raw!r}")
-    out = {}
-    for name, value in raw.items():
-        try:
-            out[str(name)] = float(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{context}.{name} must be a number, got {value!r}") from None
-        if not math.isfinite(out[str(name)]):
-            raise ValidationError(f"{context}.{name} must be finite, got {value!r}")
-    return out
+    return {str(name): _as_float(value, f"{context}.{name}") for name, value in raw.items()}
+
+
+def _as_float(value: Any, context: str) -> float:
+    try:
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None:
+        raise ValidationError(f"{context} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValidationError(f"{context} must be finite, got {value!r}")
+    return number
 
 
 def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None) -> EngineConfig:

@@ -108,12 +108,12 @@ class SeedKey:
     def __post_init__(self) -> None:
         for name in ("chain_index", "sample_index", "observation_index", "lineage_id", "replica_index"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValidationError(f"SeedKey.{name} must be a nonnegative integer, got {value!r}")
+            if not isinstance(value, int) or not 0 <= value <= _MASK64:
+                raise ValidationError(f"SeedKey.{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 def _fold(h: int, part: int) -> int:
-    return _splitmix64(h ^ _splitmix64(part & _MASK64))
+    return _splitmix64(h ^ _splitmix64(part))
 
 
 def derive_seed(key: SeedKey) -> int:
@@ -167,7 +167,7 @@ def derive_seeds(
         return []
     prefix = _fold(_fold(_fold(0, chain_index), sample_index), observation_index)
     h = _splitmix64_array(np.uint64(prefix) ^ _splitmix64_array(lineages.astype(np.uint64)))
-    return _splitmix64_array(h ^ np.uint64(_splitmix64(replica_index & _MASK64))).tolist()
+    return _splitmix64_array(h ^ np.uint64(_splitmix64(replica_index))).tolist()
 
 
 _rekey_template = threading.local()

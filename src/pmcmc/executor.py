@@ -18,12 +18,13 @@ filtering pass over an observation series:
     joins the workers and forms the estimate
 7.  the master resamples the ensemble (virtually: counts only)
 8.  the master computes the routing that rebalances the resampled
-    ensemble across workers
-9.  each worker's slice of the routing travels with the next step 3
-10. on it, before step 4, workers (a) prune, (b) start asynchronous state
-    transfers, (c) copy local survivors into replicas while transfers are
-    in flight, (d) load received states and copy them into any further
-    replicas, (e) drop sent-away particles and (f) reseed every survivor
+    ensemble across workers, as placement orders (``routing.Routing``)
+9.  each worker's slice of the orders, those it sends or receives,
+    travels with the next step 3
+10. on it, before step 4, workers (a) prune, (b) start one asynchronous
+    state transfer per order that leaves them, (c) place kept orders
+    while transfers are in flight, (d) load received states and place
+    their orders, (e) drop sent-away parents and (f) reseed every survivor
 
 Replicas made on a worker copy the state only (``Model.copy_from``), not
 the random stream: step 10(f) restarts every survivor on the stream of
@@ -258,27 +259,23 @@ class _WorkerRuntime:
                                        tuple(self.pending), tuple(self.marks)))
         self.pending, self.marks = [], []
 
-    def _place(self, model: Model, ids: list) -> None:
-        """Steps 10(c) and 10(d) for one parent, resident or just loaded:
-        it takes the first of its new ids, and replicas that copy its state
-        (not its stream, which 10(f) restarts) take the rest."""
-        self.particles[ids[0]] = model
-        for new_id in ids[1:]:
+    def _place(self, model: Model, first: int, copies: int) -> None:
+        """Steps 10(c) and 10(d) for one order: the parent takes new id ``first``, and
+        replicas copying its state (not its stream, 10(f) restarts it) the next ids."""
+        self.particles[first] = model
+        for new_id in range(first + 1, first + copies):
             self.particles[new_id] = replica = self._replica()
             replica.copy_from(model)
 
-    def _apply_routing(self, j: int, entries: np.ndarray) -> None:
-        """Step 10 for event j's routing slice, its rows in any order."""
+    def _apply_routing(self, j: int, orders: np.ndarray) -> None:
+        """Step 10 for event j's routing slice, its orders in any order."""
         deadline = monotonic() + _TRANSFER_SHARE * self.timeout      # for every inbound transfer
         rank = self.rank
-        groups: dict = {}       # (lineage, source, destination) -> new ids
-        for lineage, source, destination, new_id in entries.tolist():
-            if source != rank and destination != rank:
-                raise ProtocolError("routing slice names a foreign transfer",
-                                    rank=rank, step=f"10/routing[{j}]")
-            groups.setdefault((lineage, source, destination), []).append(new_id)
-        wanted = {lineage for lineage, source, _ in groups if source == rank}
-        kept = {lineage for lineage, source, destination in groups if source == destination}
+        orders = orders.tolist()
+        if any(source != rank and destination != rank for _, source, destination, _, _ in orders):
+            raise ProtocolError("routing slice names a foreign transfer",
+                                rank=rank, step=f"10/routing[{j}]")
+        wanted = {lineage for lineage, source, *_ in orders if source == rank}
         missing = wanted - set(self.particles)
         if missing:
             raise ProtocolError(f"routing references non-resident particles {sorted(missing)}",
@@ -289,25 +286,23 @@ class _WorkerRuntime:
         parents = {lin: m for lin, m in self.particles.items() if lin in wanted}
         self.particles = {}         # by new id from here on
 
-        # 10(b): non-blocking sends, one per distinct (lineage, destination);
-        # receives need no posting, the inbox accepts eagerly
-        for lineage, source, destination in groups:
+        # 10(b): one non-blocking send per order that leaves; the inbox accepts eagerly
+        for lineage, source, destination, _, _ in orders:
             if source == rank != destination:
-                state = parents[lineage].save()
-                self.peers[destination].send(ParticleTransfer(lineage, state, rank))
+                self.peers[destination].send(ParticleTransfer(lineage, parents[lineage].save(), rank))
 
         # 10(c): place local survivors while any transfers are in flight
         self.marks.append((rank, "replicate-start", j, monotonic()))
         t0 = perf_counter()
-        for (lineage, source, destination), ids in groups.items():
+        for lineage, source, destination, first, copies in orders:
             if source == destination:
-                self._place(parents[lineage], ids)
+                self._place(parents.pop(lineage), first, copies)
         replicate_time = perf_counter() - t0
 
         # 10(d): load inbound transfers and place them
         transfer_wait = 0.0
-        outstanding = {(lineage, source): ids for (lineage, source, _), ids in groups.items()
-                       if source != rank}
+        outstanding = {(lineage, source): (first, copies)
+                       for lineage, source, _, first, copies in orders if source != rank}
         while outstanding:
             t0 = perf_counter()
             try:
@@ -328,11 +323,11 @@ class _WorkerRuntime:
             t0 = perf_counter()
             received = self._replica()
             received.load(transfer.state)
-            self._place(received, outstanding.pop(key))
+            self._place(received, *outstanding.pop(key))
             replicate_time += perf_counter() - t0
 
-        # 10(e): sends completed on enqueue; sent-only instances retire here
-        self._pool.extend(parents[lineage] for lineage in wanted - kept)
+        # 10(e): sends completed on enqueue; the sent-only parents left retire here
+        self._pool.extend(parents.values())
         if len(self.particles) > self.capacity:
             raise ProtocolError(f"holding {len(self.particles)} particles, limit {self.capacity}",
                                 rank=rank, step=f"10(e)/prune[{j}]")
@@ -421,6 +416,7 @@ def run_particle_filter(
         raise ValidationError("observations must be an ObservationSeries")
     if not isinstance(parameters, Parameters):
         raise ValidationError("parameters must be a Parameters instance")
+    SeedKey(chain_index, sample_index, 0, 0)        # validates the counters all the pass's streams share
 
     n = len(observations)
     p = ensemble_size
@@ -540,7 +536,7 @@ def run_particle_filter(
 
             # step 9: the slices ride on the next event's command
             slices = [routing.slice_table(rank) for rank in range(workers)]
-            held = routing.destination
+            held = np.repeat(routing.destination, routing.copies)
     finally:
         _stop(started, commands, [*commands, reports, *inboxes])
 

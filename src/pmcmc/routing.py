@@ -3,7 +3,7 @@
 After each resampling the master decides where every surviving replica
 will live. Local replication is preferred; only the overflow is routed,
 to the nearest worker by rank distance. The result is a deterministic,
-serializable instruction set; workers execute their slice of it.
+serializable set of placement orders; workers execute their slice of it.
 """
 
 from __future__ import annotations
@@ -19,33 +19,37 @@ __all__ = ["Routing", "compute_routing", "traffic_metrics"]
 
 
 class Routing:
-    """Placement of a resampled ensemble: one row per replica.
+    """Placement of a resampled ensemble: one row per placement order.
 
-    Row i is the replica with new lineage id i: ``lineage[i]`` is its
-    parent lineage, ``source[i]`` the parent's current worker and
-    ``destination[i]`` the worker it will live on. The constructor takes
-    ownership of the three 1-D integer arrays and makes them read-only.
-    ``W_max`` bounds every worker's load.
+    Row i places ``copies[i]`` replicas of lineage ``lineage[i]``, held by
+    worker ``source[i]``, on worker ``destination[i]``, under the next
+    ``copies[i]`` new lineage ids. Rows are distinct (lineage, destination)
+    pairs in ascending order. The constructor takes ownership of the four
+    1-D integer arrays and makes them read-only. ``W_max`` bounds every
+    worker's load.
     """
 
-    __slots__ = ("lineage", "source", "destination", "W_max")
+    __slots__ = ("lineage", "source", "destination", "copies", "W_max")
 
-    def __init__(self, lineage: np.ndarray, source: np.ndarray, destination: np.ndarray, W_max: int):
+    def __init__(self, lineage: np.ndarray, source: np.ndarray, destination: np.ndarray,
+                 copies: np.ndarray, W_max: int):
         if lineage.size == 0:
             raise ValidationError("routing must contain at least one entry")
         if W_max < 1:
             raise ValidationError(f"W_max must be >= 1, got {W_max}")
-        if not lineage.shape == source.shape == destination.shape == (lineage.size,):
+        if not lineage.shape == source.shape == destination.shape == copies.shape == (lineage.size,):
             raise ValidationError("routing columns must be 1-D arrays of one length")
         if destination.min() < 0:
             raise ValidationError("routing names a negative destination worker")
-        loads = np.bincount(destination)
+        if copies.min() < 1:
+            raise ValidationError("routing orders must place at least one copy")
+        loads = np.bincount(destination, weights=copies)
         overloaded = {w: int(loads[w]) for w in np.flatnonzero(loads > W_max).tolist()}
         if overloaded:
             raise ValidationError(f"destination load exceeds W_max={W_max}: {overloaded}")
-        for column in (lineage, source, destination):
+        for column in (lineage, source, destination, copies):
             column.flags.writeable = False
-        self.lineage, self.source, self.destination = lineage, source, destination
+        self.lineage, self.source, self.destination, self.copies = lineage, source, destination, copies
         self.W_max = int(W_max)
 
     def __repr__(self) -> str:
@@ -53,15 +57,16 @@ class Routing:
 
     @property
     def ensemble_size(self) -> int:
-        return self.lineage.size
+        return int(self.copies.sum())
 
     def slice_table(self, worker: int | None = None) -> np.ndarray:
-        """Rows (lineage_id, source, destination, new_lineage_id) as an (m, 4)
-        int32 array, the compact form sent to workers, in new lineage id
-        order: every row, or the rows a worker takes part in as sender or
-        receiver."""
+        """Orders (lineage_id, source, destination, first_new_id, copies) as
+        an (m, 5) int32 array, the compact form sent to workers: every row,
+        or the rows a worker takes part in as sender or receiver. An order's
+        replicas take new ids first_new_id .. first_new_id + copies - 1."""
+        first = np.cumsum(self.copies) - self.copies
         table = np.column_stack((self.lineage, self.source, self.destination,
-                                 np.arange(self.ensemble_size))).astype(np.int32)
+                                 first, self.copies)).astype(np.int32)
         if worker is None:
             return table
         return table[(self.source == worker) | (self.destination == worker)]
@@ -136,34 +141,23 @@ def compute_routing(counts: Sequence[int], worker_of: np.ndarray, W: int) -> Rou
             left -= k
             capacity[best] -= k
 
-    # (lineage, destination) pairs are distinct: sort them and expand copies
+    # (lineage, destination) pairs are distinct: sorted, they are the orders
     local = np.flatnonzero(kept)
     extra = np.array(overflow, dtype=np.int64).reshape(-1, 3)
     lin = np.concatenate((local, extra[:, 0]))
     dest = np.concatenate((worker_of[local], extra[:, 1]))
     k = np.concatenate((kept[local], extra[:, 2]))
     order = np.lexsort((dest, lin))
-    lineage = np.repeat(lin[order], k[order])
-    return Routing(lineage, worker_of[lineage], np.repeat(dest[order], k[order]), w_max)
+    return Routing(lin[order], worker_of[lin[order]], dest[order], k[order], w_max)
 
 
 def traffic_metrics(routing: Routing) -> tuple[float, float]:
     """(move_fraction, copy_fraction) of a routing.
 
-    A move is a distinct (lineage, destination) pair that crosses
-    workers: identical replicas travel as one transfer and are replicated
-    on arrival. Copies are the replicas beyond the first instance at each
-    destination, wherever they are made.
+    A move is an order that crosses workers: its replicas travel as one
+    transfer and are replicated on arrival. Copies are the replicas
+    beyond the first of each order, wherever they are made.
     """
     p = routing.ensemble_size
-    pair = routing.lineage * (int(routing.destination.max()) + 1) + routing.destination
-    pairs = _distinct(pair)
-    moves = _distinct(pair[routing.destination != routing.source])
-    return moves / p, (p - pairs) / p
-
-
-def _distinct(values: np.ndarray) -> int:
-    # sorting, not np.unique: the first np.unique call in a process pages in
-    # over a megabyte of resident memory
-    ordered = np.sort(values)
-    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    moves = int(np.count_nonzero(routing.destination != routing.source))
+    return moves / p, (p - routing.lineage.size) / p

@@ -44,8 +44,8 @@ class Advance:
     """Step 3: next observation event. observation_index is 1-based; 0 is
     reserved for initialization in the seed hierarchy. ``routing`` is step
     9: this worker's slice of the previous event's routing, an int32
-    (m, 4) array of rows (lineage_id, source, destination, new_lineage_id),
-    or None at event 1."""
+    (m, 5) array of placement orders (lineage_id, source, destination,
+    first_new_id, copies), or None at event 1."""
 
     observation_index: int
     target_time: float

@@ -153,7 +153,7 @@ class TestAcceptanceCriteria:
 
             if routing.ensemble_size != p:
                 failures.append((instance, "coverage"))
-            loads = np.bincount(routing.destination, minlength=W)
+            loads = np.bincount(routing.destination, weights=routing.copies, minlength=W)
             if loads.max() > w_max:
                 failures.append((instance, "capacity"))
             moved = routing.source != routing.destination

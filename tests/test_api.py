@@ -24,7 +24,7 @@ MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc._
 
 ROOT = Path(pmcmc.__file__).resolve().parents[2]
 
-# Exported without a user until the run report (ROADMAP item 1) decides
+# Exported without a user until the run report (ROADMAP item 2) decides
 # whether it stays.
 UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
 

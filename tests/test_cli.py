@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pmcmc.cli import (
+    _check_routing_battery,
     main,
     read_observations,
     write_chain_csv,
@@ -125,6 +126,12 @@ class TestConfigLoading:
             (_LG_YAML.replace("  a: 0.3", "  a: -0.1"), "proposal_scales.a"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .nan"), "delay_ms"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .inf"), "delay_ms"),
+            (_LG_YAML.replace("lower: -1.0", "lower: abc"), "prior.a.lower"),
+            (_LG_YAML.replace("lower: -1.0", "lower: [1]"), "prior.a.lower"),
+            (_LG_YAML.replace("upper: 1.0", "upper: true"), "prior.a.upper"),
+            (_LG_YAML.replace("kind: uniform", "kind: [1]"), "prior.a.kind"),
+            (_LG_YAML.replace("  a: 0.6", "  a: true"), "initial.a"),
+            (_LG_YAML.replace("  a: 0.3", "  a: true"), "proposal_scales.a"),
         ]
         for text, needle in cases:
             with pytest.raises(ValidationError) as info:
@@ -331,6 +338,13 @@ class TestCheckCommand:
         assert main(["check", "--seed", "11"]) == 0
         assert seen == [11, 11, 11]
 
+    def test_routing_battery_passes_for_every_seed(self):
+        # the battery's random layouts may overfill a worker; only those
+        # that fit its capacity promise an identity resample no moves
+        for seed in range(50):
+            ok, detail = _check_routing_battery(seed, False)
+            assert ok, f"seed {seed}: {detail}"
+
 
 class TestMainErrors:
     def test_run_requires_config(self, capsys):
@@ -371,6 +385,12 @@ class TestMainErrors:
         assert main(["run", "--config", str(config), "--output", str(tmp_path / "outfile")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "outfile" in err and "Traceback" not in err
+
+    def test_bad_prior_value_fails_cleanly(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _LG_YAML.replace("lower: -1.0", "lower: abc"))
+        assert main(["synth", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "prior.a.lower" in err and "Traceback" not in err
 
     def test_synth_to_a_directory_fails_cleanly(self, tmp_path, capsys):
         config = _write_config(tmp_path, _LG_YAML.replace("obs.csv", "obsdir"))

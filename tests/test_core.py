@@ -83,6 +83,11 @@ class TestSeedHierarchy:
             SeedKey(0, 0, 0, -3, 0)
         with pytest.raises(ValidationError):
             SeedKey(0, 0.5, 0, 0, 0)
+        # counters past 64 bits would wrap onto the streams of smaller ones
+        for key in ((2**64, 0, 0, 0, 0), (0, 2**64 + 9, 0, 0, 0), (0, 0, 2**64, 0, 0),
+                    (0, 0, 0, 2**64, 0), (0, 0, 0, 0, 2**64)):
+            with pytest.raises(ValidationError):
+                SeedKey(*key)
 
     def test_make_stream_equals_keyed_construction(self):
         """Built from the fixed seed sequence and rekeyed, a stream has the
@@ -121,7 +126,7 @@ class TestBlockSeeds:
     """derive_seeds is a vectorised restatement of derive_seed and must
     agree with it bit for bit."""
 
-    PREFIXES = [(0, 0, 0), (3, 141, 5), (7, 199, 10), (2**63, 2**63, 2**63), (2**64 + 9, 2**40, 1)]
+    PREFIXES = [(0, 0, 0), (3, 141, 5), (7, 199, 10), (2**63, 2**63, 2**63), (2**64 - 1, 2**40, 1)]
 
     def test_whole_lineage_blocks_match_every_stream(self):
         streams = range(MODEL_STREAM, SYNTH_STREAM + 1)
@@ -148,8 +153,9 @@ class TestBlockSeeds:
         for bad in ([-1], [0.5], [2**64], np.array([-1]), np.array([0.5]), np.zeros((2, 2), dtype=int)):
             with pytest.raises(ValidationError):
                 derive_seeds(0, 0, 0, bad)
-        with pytest.raises(ValidationError):
-            derive_seeds(-1, 0, 0, [0])
+        for chain in (-1, 2**64 + 9):
+            with pytest.raises(ValidationError):
+                derive_seeds(chain, 0, 0, [0])
         with pytest.raises(ValidationError):
             derive_seeds(0, 0, 0, [0], replica_index=-1)
 

@@ -63,9 +63,9 @@ class _SlowSaveModel(LinearGaussianModel):
 
 
 def _slice(*rows):
-    """A routing slice as the master sends it: int32 rows (lineage,
-    source, destination, new id)."""
-    return np.array(rows, dtype=np.int32).reshape(-1, 4)
+    """A routing slice as the master sends it: int32 placement orders
+    (lineage, source, destination, first new id, copies)."""
+    return np.array(rows, dtype=np.int32).reshape(-1, 5)
 
 
 class TestWorkerLineages:
@@ -246,6 +246,16 @@ class TestFailurePropagation:
                                     timeout=timeout)
         with pytest.raises(ValidationError):
             run_particle_filter(LinearGaussianModel, {"a": 0.8}, _OBS, 4, 1)
+        # seed counters are checked before any worker starts
+        for workers, chain_index, sample_index in [
+            (1, 2**64, 0), (1, -1, 0), (1, 0, 2**64), (1, 0, -1), (1, 0.5, 0),
+            (2, -1, 0), (2, 0, 2**64),
+        ]:
+            before = _live()
+            with pytest.raises(ValidationError):
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, workers,
+                                    chain_index=chain_index, sample_index=sample_index)
+            assert _live() == before
         with pytest.raises(ValidationError):
             run_particle_filter(LinearGaussianModel, _THETA, [(1, {"y": 0.0})], 4, 1)
 
@@ -332,7 +342,8 @@ def _tamper_routing(monkeypatch, slices):
 
     def tampered(counts, worker_of, W):
         routing = computed(counts, worker_of, W)
-        return Tampered(routing.lineage, routing.source, routing.destination, routing.W_max)
+        return Tampered(routing.lineage, routing.source, routing.destination, routing.copies,
+                        routing.W_max)
 
     monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
 
@@ -380,17 +391,18 @@ class TestFaultInjection:
     # Whole-pass routing and transfer faults. Identity resampling keeps
     # lineages 0, 1 on rank 0 and 2, 3 on rank 1; the master's routing is
     # swapped for one that sends the listed rank a tampered slice after
-    # event 1. Rows are (lineage, source, destination, new id). Every
-    # particle sleeps 50 ms an advance, so a worker that waits on a
-    # transfer times out before the master's gather does.
+    # event 1. Rows are (lineage, source, destination, first new id,
+    # copies). Every particle sleeps 50 ms an advance, so a worker that
+    # waits on a transfer times out before the master's gather does.
     @pytest.mark.parametrize("slices, timeout, rank, step, words", [
-        ({0: ((0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 2))}, 4.0, 0, "10/routing[1]",
+        ({0: ((0, 0, 0, 0, 1), (1, 0, 0, 1, 1), (2, 1, 1, 2, 1))}, 4.0, 0, "10/routing[1]",
          "foreign transfer"),
-        ({0: ((0, 0, 0, 0), (3, 0, 0, 1))}, 4.0, 0, "10(a)/prune[1]",
+        ({0: ((0, 0, 0, 0, 1), (3, 0, 0, 1, 1))}, 4.0, 0, "10(a)/prune[1]",
          "non-resident particles [3]"),
-        ({1: ((0, 0, 1, 2), (3, 1, 1, 3))}, 0.2, 1, "10(d)/receive[1]",
+        ({1: ((0, 0, 1, 2, 1), (3, 1, 1, 3, 1))}, 0.2, 1, "10(d)/receive[1]",
          "missing expected transfers [(0, 0)]"),
-        ({0: ((0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 2)), 1: ((1, 0, 1, 2), (3, 1, 1, 3))},
+        ({0: ((0, 0, 0, 0, 1), (1, 0, 0, 1, 1), (0, 0, 1, 2, 1)),
+          1: ((1, 0, 1, 2, 1), (3, 1, 1, 3, 1))},
          4.0, 1, "10(d)/receive[1]", "unsolicited transfer of lineage 0 from worker 0"),
     ], ids=["foreign-transfer", "non-resident-lineage", "missing-transfer", "unsolicited-transfer"])
     def test_routing_fault(self, monkeypatch, slices, timeout, rank, step, words):
@@ -413,7 +425,7 @@ class TestFaultInjection:
         gather deadline, so the fault is reported at step 10(d) every
         time, not as a gather timeout for the next event."""
         _use_resampler(monkeypatch, _identity_resampler)
-        _tamper_routing(monkeypatch, {1: ((0, 0, 1, 2), (3, 1, 1, 3))})
+        _tamper_routing(monkeypatch, {1: ((0, 0, 1, 2, 1), (3, 1, 1, 3, 1))})
         before = _live()
         for _ in range(20):
             started = time.perf_counter()
@@ -588,7 +600,7 @@ class TestPlacementSteps:
     def test_identity_slice_keeps_instances(self):
         rt = _runtime(0, 4, 2)
         before = dict(rt.particles)
-        rt._apply_routing(1, _slice((0, 0, 0, 0), (1, 0, 0, 1)))
+        rt._apply_routing(1, _slice((0, 0, 0, 0, 1), (1, 0, 0, 1, 1)))
         assert set(rt.particles) == {0, 1}
         for lin in (0, 1):
             assert rt.particles[lin] is before[lin]
@@ -598,7 +610,7 @@ class TestPlacementSteps:
         donor = LinearGaussianModel()
         donor.init(_THETA, seed=123)
         donor.run(5)
-        entries = _slice((0, 0, 1, 2), (0, 0, 1, 3))
+        entries = _slice((0, 0, 1, 2, 2))
         placed = []
         for rows in (_ORDERS[order](entries), entries):
             rt = _runtime(1, 8, 4)              # resident lineages 2, 3
@@ -613,7 +625,7 @@ class TestPlacementSteps:
 
     def test_full_eviction_leaves_no_residents(self):
         rt = _runtime(0, 4, 2)
-        rt._apply_routing(1, _slice((0, 0, 1, 0), (1, 0, 1, 1)))
+        rt._apply_routing(1, _slice((0, 0, 1, 0, 1), (1, 0, 1, 1, 1)))
         assert rt.particles == {}
         # both states were shipped to worker 1's inbox
         assert rt.peers[1].recv(0.1).lineage_id == 0
@@ -621,7 +633,7 @@ class TestPlacementSteps:
 
     @pytest.mark.parametrize("order", _ORDERS)
     def test_distinct_destination_pairs_travel_once(self, order):
-        entries = _slice((0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2), (1, 0, 0, 3))
+        entries = _slice((0, 0, 1, 0, 2), (1, 0, 0, 2, 2))
         placed = []
         for rows in (_ORDERS[order](entries), entries):
             rt = _runtime(0, 4, 2)
@@ -636,7 +648,7 @@ class TestPlacementSteps:
     def test_kept_and_sent_lineage_stays_and_travels_once(self):
         rt = _runtime(0, 4, 2)
         before = dict(rt.particles)
-        rt._apply_routing(1, _slice((0, 0, 0, 0), (0, 0, 1, 2)))
+        rt._apply_routing(1, _slice((0, 0, 0, 0, 1), (0, 0, 1, 2, 1)))
         assert set(rt.particles) == {0} and rt.particles[0] is before[0]
         assert [(destination, t.lineage_id) for destination, t in _sent(rt)] == [(1, 0)]
         # the kept parent is not recycled; the one routed nowhere is
@@ -646,32 +658,32 @@ class TestPlacementSteps:
     def test_foreign_entry_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(1, _slice((2, 1, 1, 0)))
+            rt._apply_routing(1, _slice((2, 1, 1, 0, 1)))
         assert "foreign" in str(info.value)
 
     def test_non_resident_reference_rejected(self):
         rt = _runtime(0, 4, 2)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(1, _slice((3, 0, 0, 0)))
+            rt._apply_routing(1, _slice((3, 0, 0, 0, 1)))
         assert "non-resident" in str(info.value)
 
     def test_unsolicited_transfer_rejected(self):
         rt = _runtime(1, 8, 4)
         rt.inbox.send(ParticleTransfer(5, b"", 0))
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(1, _slice((0, 0, 1, 2)))
+            rt._apply_routing(1, _slice((0, 0, 1, 2, 1)))
         assert "unsolicited" in str(info.value)
 
     def test_missing_transfer_times_out(self):
         rt = _runtime(1, 8, 4)
         with pytest.raises(ProtocolError) as info:
-            rt._apply_routing(1, _slice((0, 0, 1, 2)))
+            rt._apply_routing(1, _slice((0, 0, 1, 2, 1)))
         assert info.value.step == "10(d)/receive[1]"
         assert "missing" in str(info.value)
 
     def test_capacity_breach_rejected(self):
         rt = _runtime(0, 4, 2)
-        entries = _slice((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 2))
+        entries = _slice((0, 0, 0, 0, 2), (1, 0, 0, 2, 1))
         with pytest.raises(ProtocolError) as info:
             rt._apply_routing(1, entries)
         assert info.value.step == "10(e)/prune[1]"
@@ -680,9 +692,9 @@ class TestPlacementSteps:
         # two runtimes arrive at the same new lineage id by different
         # placements; their streams must coincide afterwards
         rt_a = _runtime(0, 2, 1)
-        rt_a._apply_routing(1, _slice((0, 0, 0, 0), (0, 0, 0, 1)))
+        rt_a._apply_routing(1, _slice((0, 0, 0, 0, 2)))
         rt_b = _runtime(0, 2, 1)
-        rt_b._apply_routing(1, _slice((0, 0, 0, 1), (1, 0, 0, 0)))
+        rt_b._apply_routing(1, _slice((0, 0, 0, 1, 1), (1, 0, 0, 0, 1)))
         a_draw = rt_a.particles[1]._rng.random()
         b_draw = rt_b.particles[1]._rng.random()
         assert a_draw == b_draw

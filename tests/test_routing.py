@@ -15,8 +15,18 @@ def _balanced(p, W):
     return np.array([w for w in range(W) for _ in worker_lineages(w, p, W)])
 
 
+def _replicas(routing):
+    """The routing's placement orders expanded to one row per replica,
+    (lineage, source, destination, new id), in new id order."""
+    table = routing.slice_table()
+    copies = table[:, 4]
+    rows = np.repeat(table[:, :4], copies, axis=0)
+    rows[:, 3] += np.arange(len(rows)) - np.repeat(np.cumsum(copies) - copies, copies)
+    return rows[np.argsort(rows[:, 3], kind="stable")]
+
+
 def _loads(routing, W):
-    return np.bincount(routing.destination, minlength=W).tolist()
+    return np.bincount(_replicas(routing)[:, 2], minlength=W).tolist()
 
 
 class TestHandTrace:
@@ -26,12 +36,13 @@ class TestHandTrace:
         it once. Three distinct transfers for eight placements."""
         counts = [8, 0, 0, 0, 0, 0, 0, 0]
         routing = compute_routing(counts, _balanced(8, 4), 4)
+        lineage, source, destination, _ = _replicas(routing).T
         assert routing.W_max == 2
         assert _loads(routing, 4) == [2, 2, 2, 2]
-        assert np.all(routing.lineage == 0) and np.all(routing.source == 0)
+        assert np.all(lineage == 0) and np.all(source == 0)
         assert routing.ensemble_size == 8
-        moved = routing.destination != routing.source
-        cross = set(zip(routing.lineage[moved].tolist(), routing.destination[moved].tolist()))
+        moved = destination != source
+        cross = set(zip(lineage[moved].tolist(), destination[moved].tolist()))
         assert len(cross) == 3
         move, copy = traffic_metrics(routing)
         assert move == pytest.approx(3 / 8)
@@ -42,8 +53,9 @@ class TestHandTrace:
         # and identity renumbering keeps each lineage id
         counts = [1] * 8
         routing = compute_routing(counts, _balanced(8, 4), 4)
-        assert np.array_equal(routing.destination, routing.source)
-        assert np.array_equal(routing.lineage, np.arange(8))
+        lineage, source, destination, _ = _replicas(routing).T
+        assert np.array_equal(destination, source)
+        assert np.array_equal(lineage, np.arange(8))
         assert traffic_metrics(routing) == (0.0, 0.0)
 
     def test_single_worker_point_mass(self):
@@ -57,21 +69,21 @@ class TestHandTrace:
     def test_replicas_can_split_across_workers(self):
         # 3 survivors of lineage 0 on a 2-worker, p=3 layout: capacity 2
         # keeps two local, the third goes to the other worker
-        routing = compute_routing([3, 0, 0], np.array([0, 0, 1]), 2)
-        assert sorted(routing.destination.tolist()) == [0, 0, 1]
-        assert set(routing.lineage.tolist()) == {0}
+        lineage, _, destination, _ = _replicas(compute_routing([3, 0, 0], np.array([0, 0, 1]), 2)).T
+        assert sorted(destination.tolist()) == [0, 0, 1]
+        assert set(lineage.tolist()) == {0}
 
     def test_nearest_worker_tie_goes_low(self):
         # survivor sits on worker 1 of 3 with one spare slot on 0 and 2:
         # equal distance, the tie must resolve to worker 0
-        routing = compute_routing([0, 3, 0], np.array([0, 1, 2]), 3)
-        assert sorted(routing.destination.tolist()) == [0, 1, 2]
-        assert set(routing.destination[routing.destination != 1].tolist()) == {0, 2}
+        destination = _replicas(compute_routing([0, 3, 0], np.array([0, 1, 2]), 3))[:, 2]
+        assert sorted(destination.tolist()) == [0, 1, 2]
+        assert set(destination[destination != 1].tolist()) == {0, 2}
 
     def test_new_ids_follow_lineage_destination_order(self):
         counts = [2, 0, 2, 0]
-        routing = compute_routing(counts, _balanced(4, 2), 2)
-        keys = list(zip(routing.lineage.tolist(), routing.destination.tolist()))   # new id order
+        lineage, _, destination, _ = _replicas(compute_routing(counts, _balanced(4, 2), 2)).T
+        keys = list(zip(lineage.tolist(), destination.tolist()))   # new id order
         assert keys == sorted(keys)
 
     def test_deterministic(self):
@@ -86,41 +98,47 @@ class TestLocalPriority:
         # worker 0 holds lineages 0,1 with counts 1,1: both stay even
         # though worker 1 has spare capacity
         counts = [1, 1, 2, 0]
-        routing = compute_routing(counts, _balanced(4, 2), 2)
-        assert np.all(routing.destination[routing.lineage <= 1] == 0)
+        lineage, _, destination, _ = _replicas(compute_routing(counts, _balanced(4, 2), 2)).T
+        assert np.all(destination[lineage <= 1] == 0)
 
     def test_only_overflow_leaves(self):
         # lineage 0 survives 3 times on a full worker of capacity 2:
         # exactly one replica leaves
         counts = [3, 1, 0, 0]
-        routing = compute_routing(counts, _balanced(4, 2), 2)
-        offsite = routing.destination[(routing.lineage == 0) & (routing.destination != 0)]
+        lineage, _, destination, _ = _replicas(compute_routing(counts, _balanced(4, 2), 2)).T
+        offsite = destination[(lineage == 0) & (destination != 0)]
         assert offsite.tolist() == [1]
 
 
 class TestRoutingContainer:
     def test_slice_for(self):
-        # the slice for worker 3 holds only its incoming transfer entries
+        # the slice for worker 3 holds only its incoming order: lineage 0
+        # from worker 0, two copies under new ids 6 and 7
         # (test_slices_partition_by_worker checks every worker's slice)
         routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
-        table = routing.slice_table(3)
-        assert len(table) == 2 and np.all(table[:, 2] == 3) and np.all(table[:, 1] == 0)
+        assert routing.slice_table(3).tolist() == [[0, 0, 3, 6, 2]]
 
     def test_container_validation(self):
         def column(*values):
             return np.array(values, dtype=np.int64)
 
         with pytest.raises(ValidationError):
-            Routing(column(), column(), column(), 1)                   # empty
+            Routing(column(), column(), column(), column(), 1)                   # empty
         with pytest.raises(ValidationError):
-            Routing(column(0, 0), column(0), column(0, 0), 2)          # ragged columns
+            Routing(column(0, 0), column(0), column(0, 0), column(1, 1), 2)      # ragged columns
         with pytest.raises(ValidationError):
-            Routing(column(0, 0), column(0, 0), column(0, 0), 1)       # load 2 > W_max 1
+            Routing(column(0), column(0), column(0), column(1, 1), 2)            # ragged copies
         with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(-1), 1)               # negative worker
+            Routing(column(0, 1), column(0, 0), column(0, 0), column(1, 1), 1)   # load 2 > W_max 1
         with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(0), 0)
-        routing = Routing(column(0), column(0), column(0), 1)
+            Routing(column(0), column(0), column(0), column(2), 1)               # load 2 > W_max 1
+        with pytest.raises(ValidationError):
+            Routing(column(0), column(0), column(-1), column(1), 1)              # negative worker
+        with pytest.raises(ValidationError):
+            Routing(column(0, 1), column(0, 0), column(0, 0), column(1, 0), 1)   # an empty order
+        with pytest.raises(ValidationError):
+            Routing(column(0), column(0), column(0), column(1), 0)
+        routing = Routing(column(0), column(0), column(0), column(1), 1)
         with pytest.raises(ValueError):
             routing.destination[0] = 1                                  # read-only
 
@@ -154,13 +172,20 @@ class TestRandomBattery:
             probs = rng.dirichlet(np.ones(p))
             counts = rng.multinomial(p, probs)
             routing = compute_routing(counts, workers, W)
+            lineage, source, _, new_id = _replicas(routing).T
 
             assert routing.ensemble_size == p
             assert routing.W_max == math.ceil(p / W)
+            # orders: distinct (lineage, destination) pairs in ascending
+            # order, each of at least one copy, p copies in all
+            pairs = list(zip(routing.lineage.tolist(), routing.destination.tolist()))
+            assert pairs == sorted(set(pairs))
+            assert routing.copies.min() >= 1 and int(routing.copies.sum()) == p
+            assert np.array_equal(new_id, np.arange(p))
             loads = _loads(routing, W)
             assert len(loads) == W and max(loads) <= routing.W_max
-            assert np.array_equal(routing.source, workers[routing.lineage])
-            assert np.array_equal(np.bincount(routing.lineage, minlength=p), counts)
+            assert np.array_equal(source, workers[lineage])
+            assert np.array_equal(np.bincount(lineage, minlength=p), counts)
             move, copy = traffic_metrics(routing)
             assert 0.0 <= move <= 1.0 and 0.0 <= copy <= 1.0
 
@@ -172,8 +197,9 @@ class TestRandomBattery:
             p = int(rng.integers(1, 65))
             W = int(rng.integers(1, 17))
             routing = compute_routing([1] * p, _balanced(p, W), W)
-            assert np.array_equal(routing.destination, routing.source)
-            assert np.array_equal(routing.lineage, np.arange(p))
+            lineage, source, destination, _ = _replicas(routing).T
+            assert np.array_equal(destination, source)
+            assert np.array_equal(lineage, np.arange(p))
             assert traffic_metrics(routing) == (0.0, 0.0)
 
 
@@ -227,7 +253,7 @@ class TestArrayPlacement:
                 counts = rng.multinomial(p, rng.dirichlet(np.full(p, rng.choice([0.1, 1.0, 10.0]))))
             expected = _sequential_reference(counts, source_of, W)
             routing = compute_routing(counts, workers, W)
-            assert [tuple(e) for e in routing.slice_table().tolist()] == expected
+            assert [tuple(e) for e in _replicas(routing).tolist()] == expected
 
     def test_array_locations_validated(self):
         with pytest.raises(ValidationError):
@@ -242,5 +268,5 @@ class TestArrayPlacement:
         full = routing.slice_table()
         for w in range(4):
             table = routing.slice_table(w)
-            assert table.shape[1] == 4 and table.dtype == np.int32
+            assert table.shape[1] == 5 and table.dtype == np.int32
             assert np.array_equal(table, full[(full[:, 1] == w) | (full[:, 2] == w)])
