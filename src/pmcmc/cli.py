@@ -316,6 +316,8 @@ def _load_with_overrides(args) -> EngineConfig | None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise ValidationError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
         config = _load_with_overrides(args)
         if args.command == "check":
             seed = args.seed if config is None else config.seed

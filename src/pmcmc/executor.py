@@ -14,8 +14,8 @@ filtering pass over an observation series:
     lineage order; each report also carries the stage timings and event
     marks recorded since the previous one, so event 1's gather spans the
     workers' initialization and its ``timeout`` covers both
-6.  after the last event, or a degenerate one, the master sends exit,
-    joins the workers and forms the estimate
+6.  after the last event, or a degenerate one, the master forms the
+    estimate; the workers wait for the next pass's step 1
 7.  the master resamples the ensemble (virtually: counts only)
 8.  the master computes the routing that rebalances the resampled
     ensemble across workers, as placement orders (``routing.Routing``)
@@ -36,21 +36,29 @@ lineage, purpose) alone, so the estimate is invariant to the number of
 workers: weights are gathered by lineage id and replica identities are
 assigned by the deterministic routing, never by arrival order.
 
-A single worker is a thread of the calling process. Two or more are
-processes forked for the pass, so CPU-bound models run in parallel
-rather than taking turns on the interpreter lock; where the platform has
-no ``fork`` start method they are threads too. Threads and forked
-processes start the same ``_WorkerRuntime.run`` over the same byte
-channels. When the pass ends, after its last event or on a failure (a
-worker's error report, a timeout or an exception on the master), every
-worker is told to exit, and any still running after ``_STOP_BOUND``
-seconds is terminated (a thread cannot be, and is left to finish its
-current command).
+A ``FilterSession`` owns the workers, their channels and each worker's
+pool of model instances, and runs any number of passes; a chain keeps one
+for all its samples, and ``run_particle_filter`` without one runs a
+one-pass session. A single worker is a thread of the calling process. Two
+or more are processes forked at the session's first pass, so CPU-bound
+models run in parallel rather than taking turns on the interpreter lock;
+where the platform has no ``fork`` start method they are threads too.
+Threads and forked processes start the same ``_WorkerRuntime.run`` over
+the same byte channels. A worker waits for its next command without a
+timeout, within a pass and between passes, and checks every
+``_POLL_INTERVAL`` that its master process is alive: a forked worker whose
+master is gone exits. The master's gather is the only timeout: it fails on
+a worker that stays silent for ``timeout`` seconds or ends without
+reporting. A failed pass (a worker's error report, a timeout or an
+exception on the master) closes the session. On close every worker is told
+to exit, and any still running after ``_STOP_BOUND`` seconds is terminated
+(a thread cannot be, and is left to finish its current command).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import queue
 from dataclasses import dataclass
@@ -90,19 +98,27 @@ from .transport import (
     WorkerReport,
 )
 
-__all__ = ["DEFAULT_TIMEOUT", "FilterDiagnostics", "FilterResult", "run_particle_filter", "worker_lineages"]
+__all__ = [
+    "DEFAULT_TIMEOUT",
+    "FilterDiagnostics",
+    "FilterResult",
+    "FilterSession",
+    "run_particle_filter",
+    "worker_lineages",
+]
 
 DEFAULT_TIMEOUT = 120.0
 
-# Largest accepted ``timeout``, in seconds. An idle worker waits twice the
-# timeout for a command, and a process queue cannot wait past 2**31 ms.
+# Largest accepted ``timeout``, in seconds (11.6 days); a larger value is
+# taken for a mistake of units.
 _MAX_TIMEOUT = 1e6
 
-# Seconds a pass waits for its workers to stop before terminating them; a
-# stuck worker's error then still surfaces within a second of its timeout.
+# Seconds a closing session waits for its workers to stop before terminating
+# them; a stuck worker's error then still surfaces within a second of its timeout.
 _STOP_BOUND = 0.5
 
-# Longest wait on the report channel between checks for a dead worker.
+# Longest wait on a channel between checks that the other side is alive: the
+# master's for a dead worker, a forked worker's for a dead master.
 _POLL_INTERVAL = 0.1
 
 # Share of ``timeout``, counted from the command that carries the routing
@@ -145,6 +161,10 @@ class FilterResult:
     diagnostics: FilterDiagnostics
 
 
+class _MasterGone(Exception):
+    """A forked worker's master process has ended; the worker exits."""
+
+
 class _WorkerRuntime:
     """State machine run by one worker thread or process."""
 
@@ -170,6 +190,7 @@ class _WorkerRuntime:
         self.peers = peers
         self.timeout = timeout
         self.capacity = capacity        # most particles a worker may hold, ceil(p / W)
+        self.master_pid = os.getpid()   # constructed on the master, before any fork
         self.particles: dict[int, Model] = {}
         self.sample_index = 0
         self.pending: list[StageTiming] = []
@@ -184,13 +205,9 @@ class _WorkerRuntime:
         step = "2/command-loop"
         try:
             while True:
-                try:
-                    # the master may wait ``timeout`` on a slower peer before
-                    # it sends on or aborts; an idle worker allows twice
-                    # that, so a stuck peer is never blamed on this rank
-                    command = self.commands.recv(2 * self.timeout)
-                except queue.Empty:
-                    raise ProtocolError("timed out waiting for a command", rank=self.rank, step=step)
+                # no timeout: the master times out a stuck peer, and
+                # closes the session with an exit command
+                command = self._recv(self.commands, math.inf)
                 if isinstance(command, Broadcast):
                     step = "2/init"
                     self._initialize(command)
@@ -206,6 +223,9 @@ class _WorkerRuntime:
                 else:
                     raise ProtocolError(f"unexpected command {type(command).__name__}",
                                         rank=self.rank, step=step)
+        except _MasterGone:
+            # nobody reads the reports any more; do not wait to flush them
+            self.reports.abandon()
         except ProtocolError as exc:
             # the master re-raises with rank and step, so send the bare message
             self.reports.send(ErrorReport(self.rank, exc.step or step, exc.message))
@@ -217,6 +237,20 @@ class _WorkerRuntime:
             for channel in self.peers.values():
                 channel.abandon()
             self.reports.close()
+
+    def _recv(self, channel: Channel, deadline: float):
+        """The next message on ``channel``; ``queue.Empty`` at ``deadline``.
+        Every ``_POLL_INTERVAL`` a forked worker checks that its master
+        process is alive, and raises ``_MasterGone`` if not (a thread shares
+        its master's process)."""
+        while True:
+            try:
+                return channel.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
+            except queue.Empty:
+                if os.getpid() != self.master_pid and os.getppid() != self.master_pid:
+                    raise _MasterGone from None
+                if monotonic() >= deadline:
+                    raise
 
     # -- steps ----------------------------------------------------------
 
@@ -230,6 +264,8 @@ class _WorkerRuntime:
     def _initialize(self, command: Broadcast) -> None:
         self.sample_index = command.sample_index
         t0 = perf_counter()
+        # the previous pass's particles, if any, become this pass's instances
+        self._pool.extend(self.particles.values())
         self.particles = {}
         for lineage, seed in zip(self.lineages, self._seeds(0, self.lineages)):
             self.particles[lineage] = model = self._replica()
@@ -306,7 +342,7 @@ class _WorkerRuntime:
         while outstanding:
             t0 = perf_counter()
             try:
-                transfer = self.inbox.recv(max(deadline - monotonic(), 0.0))
+                transfer = self._recv(self.inbox, deadline)
             except queue.Empty:
                 raise ProtocolError(f"missing expected transfers {sorted(outstanding)}",
                                     rank=rank, step=f"10(d)/receive[{j}]")
@@ -354,26 +390,244 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _stop(started: list, commands: list, channels: list) -> None:
-    """Tell every worker to exit, end them within ``_STOP_BOUND`` and
-    release the channels; a process still alive at the bound is terminated.
+class FilterSession:
+    """The workers, their channels and each worker's instance pool, kept for
+    any number of filtering passes.
+
+    A context manager: ``run_particle_filter(..., session=session)`` runs one
+    pass on it, and ``close`` (or leaving the ``with`` block) ends the
+    workers. They are launched by the first pass. A failed pass closes the
+    session, and a closed session runs no more passes.
+
+    With ``workers >= 2`` each worker is a forked process where the
+    platform can fork, so ``model_factory`` runs there: it may be any
+    callable, a closure included, but what it changes (counters, globals,
+    caches) stays in the worker process and is not visible to the caller.
+    ``timeout`` is the longest wait, in seconds, for any one report from
+    the workers, at most ``_MAX_TIMEOUT`` (1e6).
     """
-    for channel in commands:
-        channel.send(ExitCommand())
-    deadline = monotonic() + _STOP_BOUND
-    for worker in started:
-        worker.join(max(deadline - monotonic(), 0.0))
-    for worker in started:
-        if isinstance(worker, threading.Thread):
-            continue
-        if worker.is_alive():
-            worker.terminate()
-        worker.join()
-        worker.close()
-    # the master sent on the command channels only; joining their feeder
-    # threads leaves none alive for the next pass's fork
-    for channel in channels:
-        channel.close()
+
+    def __init__(
+        self,
+        model_factory: Callable[[], Model],
+        ensemble_size: int,
+        workers: int,
+        *,
+        chain_index: int = 0,
+        timeout: float = DEFAULT_TIMEOUT,
+    ):
+        for name, value in (("ensemble size", ensemble_size), ("worker count", workers)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0.0 < timeout <= _MAX_TIMEOUT:
+            raise ValidationError(f"timeout must be a positive number of seconds up to {_MAX_TIMEOUT:g}, "
+                                  f"got {timeout!r}")
+        SeedKey(chain_index, 0, 0, 0)       # validates the chain counter every stream shares
+        self.model_factory = model_factory
+        self.ensemble_size = ensemble_size
+        self.workers = workers
+        self.chain_index = chain_index
+        self.timeout = timeout
+        self._commands: list[Channel] = []
+        self._reports: Channel | None = None
+        self._channels: list[Channel] = []
+        self._started: list = []            # worker threads or processes, by rank
+        self._closed = False
+
+    def __enter__(self) -> "FilterSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Tell every worker to exit, end them within ``_STOP_BOUND`` and
+        release the channels; a process still alive at the bound is terminated."""
+        if self._closed:
+            return
+        self._closed = True
+        for channel in self._commands:
+            channel.send(ExitCommand())
+        deadline = monotonic() + _STOP_BOUND
+        for worker in self._started:
+            worker.join(max(deadline - monotonic(), 0.0))
+        for worker in self._started:
+            if isinstance(worker, threading.Thread):
+                continue
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            worker.close()
+        # the master sent on the command channels only; joining their feeder
+        # threads leaves none alive for the next session's fork
+        for channel in self._channels:
+            channel.close()
+
+    def _launch(self) -> None:
+        p, W = self.ensemble_size, self.workers
+        context = _fork_context() if W >= 2 else None
+        self._commands = [Channel(context=context) for _ in range(W)]
+        self._reports = Channel(context=context)
+        inboxes = [Channel(context=context) for _ in range(W)]
+        self._channels = [*self._commands, self._reports, *inboxes]
+        for rank in range(W):
+            runtime = _WorkerRuntime(
+                rank, worker_lineages(rank, p, W), self.model_factory, self.chain_index,
+                self._commands[rank], self._reports, dict(enumerate(inboxes)), self.timeout,
+                math.ceil(p / W),
+            )
+            launcher = (threading.Thread if context is None else context.Process)(
+                target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
+            launcher.start()
+            self._started.append(launcher)
+
+    def _gather(self, step: str) -> list:
+        """One report from every rank, in arrival order. A rank silent for
+        ``timeout`` fails the gather, and so does one whose worker ended
+        without reporting; either way the lowest such rank is named."""
+        gathered = []
+        silent = set(range(self.workers))
+        while silent:
+            deadline = monotonic() + self.timeout
+            while True:
+                try:
+                    message = self._reports.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
+                    break
+                except queue.Empty:
+                    pass
+                # a worker killed by a signal, or ended by an uncaught
+                # BaseException, sends no error report: take what it sent
+                # before it ended, and fail if that was nothing
+                ended = [rank for rank in sorted(silent) if not self._started[rank].is_alive()]
+                if ended:
+                    try:
+                        message = self._reports.recv(0)
+                        break
+                    except queue.Empty:
+                        code = getattr(self._started[ended[0]], "exitcode", None)
+                        what = "worker thread ended" if code is None else f"worker process exited with code {code}"
+                        raise ProtocolError(f"{what} without reporting", rank=ended[0], step=step) from None
+                if monotonic() >= deadline:
+                    raise ProtocolError(f"timed out gathering worker reports, none from ranks "
+                                        f"{sorted(silent)}", rank=min(silent), step=step)
+            if isinstance(message, ErrorReport):
+                raise ProtocolError(message.message, rank=message.worker, step=message.step)
+            silent.discard(message.worker)
+            gathered.append(message)
+        return gathered
+
+    def _run(
+        self,
+        parameters: Parameters,
+        observations: ObservationSeries,
+        sample_index: int,
+        worker_dependent_seed_fault: bool,
+    ) -> FilterResult:
+        """One filtering pass on the session's workers; a failure closes the session."""
+        if not isinstance(observations, ObservationSeries):
+            raise ValidationError("observations must be an ObservationSeries")
+        if not isinstance(parameters, Parameters):
+            raise ValidationError("parameters must be a Parameters instance")
+        SeedKey(self.chain_index, sample_index, 0, 0)   # validates the counters all the pass's streams share
+        if self._closed:
+            raise ValidationError("the filter session is closed")
+
+        n = len(observations)
+        p, workers, chain_index = self.ensemble_size, self.workers, self.chain_index
+        timings: list[StageTiming] = []
+        marks: list[tuple] = []
+        rows: list[np.ndarray] = []
+        resample_counts: list[tuple] = []
+        redraw_rates: list[float] = []
+        move_fractions: list[float] = []
+        copy_fractions: list[float] = []
+        degenerate: tuple = ()
+
+        t_start = perf_counter()
+        try:
+            if not self._started:
+                self._launch()
+            commands = self._commands
+            for rank in range(workers):
+                commands[rank].send(Broadcast(sample_index, parameters))
+            # worker of each lineage
+            held = np.array([rank for rank in range(workers) for _ in worker_lineages(rank, p, workers)])
+            slices = [None] * workers       # each rank's slice of the last routing
+
+            for j, (target_time, data) in enumerate(observations, start=1):
+                for rank in range(workers):
+                    commands[rank].send(Advance(j, target_time, data, slices[rank]))
+                t0 = perf_counter()
+                gathered_ids, gathered_weights = [], []
+                for report in self._gather(f"5/gather[{j}]"):
+                    if report.observation_index != j:
+                        raise ProtocolError(
+                            f"report for event {report.observation_index} while gathering event {j}",
+                            rank=report.worker, step=f"5/gather[{j}]")
+                    timings.extend(report.timings)
+                    marks.extend(report.marks)
+                    gathered_ids.append(report.lineage_ids)
+                    gathered_weights.append(report.log_weights)
+                timings.append(StageTiming("likelihood-gather", MASTER_RANK, sample_index, j,
+                                           perf_counter() - t0))
+                lineages = np.concatenate(gathered_ids)
+                if not np.array_equal(np.sort(lineages), np.arange(p)):
+                    raise ProtocolError("gathered weights do not cover the ensemble",
+                                        rank=MASTER_RANK, step=f"5/gather[{j}]")
+                row = np.empty(p)
+                row[lineages] = np.concatenate(gathered_weights)
+                rows.append(row)
+
+                shift = row.max()
+                if shift == -np.inf:
+                    degenerate = (j,)
+                    break
+
+                if j == n:
+                    break
+
+                # step 7: virtual resampling on the master
+                t0 = perf_counter()
+                probs = normalize_weights(np.exp(row - shift))
+                seed = derive_seed(SeedKey(chain_index, sample_index, j, 0, RESAMPLE_STREAM))
+                if worker_dependent_seed_fault:
+                    seed ^= workers
+                counts = resample_multinomial(probs, p, seed)
+                timings.append(StageTiming("resample", MASTER_RANK, sample_index, j,
+                                           perf_counter() - t0))
+                resample_counts.append(tuple(np.asarray(counts, dtype=np.int64).tolist()))
+                redraw_rates.append(redraw_rate(counts))
+
+                # step 8: routing
+                t0 = perf_counter()
+                routing = compute_routing(counts, held, workers)
+                move, copy = traffic_metrics(routing)
+                timings.append(StageTiming("route", MASTER_RANK, sample_index, j,
+                                           perf_counter() - t0))
+                move_fractions.append(move)
+                copy_fractions.append(copy)
+
+                # step 9: the slices ride on the next event's command
+                slices = [routing.slice_table(rank) for rank in range(workers)]
+                held = np.repeat(routing.destination, routing.copies)
+        except BaseException:
+            self.close()
+            raise
+
+        wall_time = perf_counter() - t_start
+        estimate = estimate_marginal_from_log(np.vstack(rows))
+        diagnostics = FilterDiagnostics(
+            workers=workers,
+            wall_time=wall_time,
+            resample_counts=tuple(resample_counts),
+            redraw_rates=tuple(redraw_rates),
+            move_fractions=tuple(move_fractions),
+            copy_fractions=tuple(copy_fractions),
+            timings=tuple(timings),
+            marks=tuple(sorted(marks, key=lambda m: m[3])),
+            degenerate_observations=degenerate,
+        )
+        return FilterResult(estimate=estimate, diagnostics=diagnostics)
 
 
 def run_particle_filter(
@@ -387,170 +641,32 @@ def run_particle_filter(
     sample_index: int = 0,
     timeout: float = DEFAULT_TIMEOUT,
     worker_dependent_seed_fault: bool = False,
+    session: FilterSession | None = None,
 ) -> FilterResult:
     """Run one parallel filtering pass and estimate the marginal likelihood.
 
-    With ``workers >= 2`` each worker is a forked process where the
-    platform can fork, so ``model_factory`` runs there: it may be any
-    callable, a closure included, but what it changes (counters, globals,
-    caches) stays in the worker process and is not visible to the caller.
+    The pass runs on ``session``, which must have been opened with the same
+    ``model_factory``, ``ensemble_size``, ``workers``, ``chain_index`` and
+    ``timeout``, or, without one, on a session of its own that it closes
+    before returning. See ``FilterSession`` for where the factory runs and
+    what ``timeout`` bounds. An event's wait includes what its command
+    starts first: the workers' initialization at event 1, placement after
+    that.
 
     After every event but the last the master draws multinomial replica
     counts (``resample_multinomial``) from the event's resampling stream.
-    ``timeout`` is the longest wait, in seconds, for any one report from
-    the workers, at most ``_MAX_TIMEOUT`` (1e6); a worker allows twice that
-    for its next command. An event's wait includes what its command starts
-    first: the workers' initialization at event 1, placement after that.
 
     ``worker_dependent_seed_fault`` deliberately mixes the worker count
     into the resampling seed; the verification suite uses it to prove the
     worker-count invariance check can fail.
     """
-    for name, value in (("ensemble size", ensemble_size), ("worker count", workers)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0.0 < timeout <= _MAX_TIMEOUT:
-        raise ValidationError(f"timeout must be a positive number of seconds up to {_MAX_TIMEOUT:g}, "
-                              f"got {timeout!r}")
-    if not isinstance(observations, ObservationSeries):
-        raise ValidationError("observations must be an ObservationSeries")
-    if not isinstance(parameters, Parameters):
-        raise ValidationError("parameters must be a Parameters instance")
-    SeedKey(chain_index, sample_index, 0, 0)        # validates the counters all the pass's streams share
-
-    n = len(observations)
-    p = ensemble_size
-    context = _fork_context() if workers >= 2 else None
-    commands = [Channel(context=context) for _ in range(workers)]
-    reports = Channel(context=context)
-    inboxes = [Channel(context=context) for _ in range(workers)]
-    started: list = []      # worker threads or processes, by rank
-
-    timings: list[StageTiming] = []
-    marks: list[tuple] = []
-    rows: list[np.ndarray] = []
-    resample_counts: list[tuple] = []
-    redraw_rates: list[float] = []
-    move_fractions: list[float] = []
-    copy_fractions: list[float] = []
-    degenerate: tuple = ()
-
-    def _gather(step: str) -> list:
-        """One report from every rank, in arrival order; a timeout names
-        the lowest rank not heard from."""
-        gathered = []
-        silent = set(range(workers))
-        while silent:
-            deadline = monotonic() + timeout
-            while True:
-                try:
-                    message = reports.recv(min(_POLL_INTERVAL, max(deadline - monotonic(), 0.0)))
-                    break
-                except queue.Empty:
-                    pass
-                # a process killed by a signal, or ended by an uncaught
-                # BaseException, sends no error report
-                for rank, launcher in enumerate(started):
-                    code = getattr(launcher, "exitcode", None)
-                    if code not in (None, 0):
-                        raise ProtocolError(f"worker process exited with code {code}",
-                                            rank=rank, step=step)
-                if monotonic() >= deadline:
-                    raise ProtocolError(f"timed out gathering worker reports, none from ranks "
-                                        f"{sorted(silent)}", rank=min(silent), step=step)
-            if isinstance(message, ErrorReport):
-                raise ProtocolError(message.message, rank=message.worker, step=message.step)
-            silent.discard(message.worker)
-            gathered.append(message)
-        return gathered
-
-    t_start = perf_counter()
-    try:
-        for rank in range(workers):
-            runtime = _WorkerRuntime(
-                rank, worker_lineages(rank, p, workers), model_factory, chain_index, commands[rank],
-                reports, dict(enumerate(inboxes)), timeout, math.ceil(p / workers),
-            )
-            launcher = (threading.Thread if context is None else context.Process)(
-                target=runtime.run, name=f"pf-worker-{rank}", daemon=True)
-            launcher.start()
-            started.append(launcher)
-        for rank in range(workers):
-            commands[rank].send(Broadcast(sample_index, parameters))
-        # worker of each lineage
-        held = np.array([rank for rank in range(workers) for _ in worker_lineages(rank, p, workers)])
-        slices = [None] * workers       # each rank's slice of the last routing
-
-        for j, (target_time, data) in enumerate(observations, start=1):
-            for rank in range(workers):
-                commands[rank].send(Advance(j, target_time, data, slices[rank]))
-            t0 = perf_counter()
-            gathered_ids, gathered_weights = [], []
-            for report in _gather(f"5/gather[{j}]"):
-                if report.observation_index != j:
-                    raise ProtocolError(
-                        f"report for event {report.observation_index} while gathering event {j}",
-                        rank=report.worker, step=f"5/gather[{j}]")
-                timings.extend(report.timings)
-                marks.extend(report.marks)
-                gathered_ids.append(report.lineage_ids)
-                gathered_weights.append(report.log_weights)
-            timings.append(StageTiming("likelihood-gather", MASTER_RANK, sample_index, j,
-                                       perf_counter() - t0))
-            lineages = np.concatenate(gathered_ids)
-            if not np.array_equal(np.sort(lineages), np.arange(p)):
-                raise ProtocolError("gathered weights do not cover the ensemble",
-                                    rank=MASTER_RANK, step=f"5/gather[{j}]")
-            row = np.empty(p)
-            row[lineages] = np.concatenate(gathered_weights)
-            rows.append(row)
-
-            shift = row.max()
-            if shift == -np.inf:
-                degenerate = (j,)
-                break
-
-            if j == n:
-                break
-
-            # step 7: virtual resampling on the master
-            t0 = perf_counter()
-            probs = normalize_weights(np.exp(row - shift))
-            seed = derive_seed(SeedKey(chain_index, sample_index, j, 0, RESAMPLE_STREAM))
-            if worker_dependent_seed_fault:
-                seed ^= workers
-            counts = resample_multinomial(probs, p, seed)
-            timings.append(StageTiming("resample", MASTER_RANK, sample_index, j,
-                                       perf_counter() - t0))
-            resample_counts.append(tuple(np.asarray(counts, dtype=np.int64).tolist()))
-            redraw_rates.append(redraw_rate(counts))
-
-            # step 8: routing
-            t0 = perf_counter()
-            routing = compute_routing(counts, held, workers)
-            move, copy = traffic_metrics(routing)
-            timings.append(StageTiming("route", MASTER_RANK, sample_index, j,
-                                       perf_counter() - t0))
-            move_fractions.append(move)
-            copy_fractions.append(copy)
-
-            # step 9: the slices ride on the next event's command
-            slices = [routing.slice_table(rank) for rank in range(workers)]
-            held = np.repeat(routing.destination, routing.copies)
-    finally:
-        _stop(started, commands, [*commands, reports, *inboxes])
-
-    wall_time = perf_counter() - t_start
-    estimate = estimate_marginal_from_log(np.vstack(rows))
-    diagnostics = FilterDiagnostics(
-        workers=workers,
-        wall_time=wall_time,
-        resample_counts=tuple(resample_counts),
-        redraw_rates=tuple(redraw_rates),
-        move_fractions=tuple(move_fractions),
-        copy_fractions=tuple(copy_fractions),
-        timings=tuple(timings),
-        marks=tuple(sorted(marks, key=lambda m: m[3])),
-        degenerate_observations=degenerate,
-    )
-    return FilterResult(estimate=estimate, diagnostics=diagnostics)
+    if session is None:
+        with FilterSession(model_factory, ensemble_size, workers,
+                           chain_index=chain_index, timeout=timeout) as session:
+            return session._run(parameters, observations, sample_index, worker_dependent_seed_fault)
+    if session.model_factory is not model_factory or (
+            session.ensemble_size, session.workers, session.chain_index, session.timeout) != (
+            ensemble_size, workers, chain_index, timeout):
+        raise ValidationError("the filter session was opened for another model factory, "
+                              "ensemble size, worker count, chain index or timeout")
+    return session._run(parameters, observations, sample_index, worker_dependent_seed_fault)

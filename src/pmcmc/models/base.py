@@ -27,6 +27,8 @@ class Model(ABC):
     float below +inf, -inf for an impossible observation, never NaN.
     ``run`` must be Markov: the result distribution depends only on the
     current state, the parameters, the target time, and the stream.
+    ``init`` on a used instance must give what a fresh instance gives: the
+    engine keeps instances from one filtering pass for the next.
 
     ``run_many`` advances a batch of instances to one time; the engine
     calls it once per event for all the particles of a worker. Whatever

@@ -27,7 +27,7 @@ from .core import (
     derive_seed,
     make_stream,
 )
-from .executor import FilterDiagnostics, run_particle_filter
+from .executor import FilterDiagnostics, FilterSession, run_particle_filter
 from .models.base import Model
 
 __all__ = [
@@ -160,12 +160,16 @@ def make_filter_evaluator(
     workers: int,
     *,
     chain_index: int = 0,
+    session: FilterSession | None = None,
 ) -> Evaluator:
-    """Likelihood evaluator backed by the parallel particle filter."""
+    """Likelihood evaluator backed by the parallel particle filter: one
+    pass per evaluation, on ``session`` if given (opened with the same
+    factory, sizes and chain index), else on a session of its own."""
 
     def evaluate(theta: Parameters, sample_index: int) -> Evaluation:
         result = run_particle_filter(model_factory, theta, observations, ensemble_size, workers,
-                                     chain_index=chain_index, sample_index=sample_index)
+                                     chain_index=chain_index, sample_index=sample_index,
+                                     session=session)
         estimate = result.estimate
         return Evaluation(estimate.log_value, estimate.log_std, result.diagnostics)
 
@@ -296,14 +300,19 @@ def run_chain(
 
     The first record evaluates the configured starting parameters; there
     is no burn-in discard. Passing ``evaluator`` overrides the default
-    particle-filter evaluator (tests substitute an exact one).
+    particle-filter evaluator (tests substitute an exact one). The default
+    runs every pass of the chain on one ``FilterSession``, so its workers
+    start once.
     """
     if evaluator is None:
         if model_factory is None or observations is None:
             raise ValidationError("run_chain needs a model factory and observations "
                                   "unless an evaluator is supplied")
-        evaluator = make_filter_evaluator(model_factory, observations, settings.ensemble_size,
-                                          settings.workers, chain_index=chain_index)
+        with FilterSession(model_factory, settings.ensemble_size, settings.workers,
+                           chain_index=chain_index) as session:
+            evaluator = make_filter_evaluator(model_factory, observations, settings.ensemble_size,
+                                              settings.workers, chain_index=chain_index, session=session)
+            return run_chain(settings, None, None, chain_index=chain_index, evaluator=evaluator)
 
     log_prior_initial = settings.prior.log_density(settings.initial)
     if log_prior_initial == -math.inf:

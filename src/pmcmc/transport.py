@@ -55,7 +55,8 @@ class Advance:
 
 @dataclass(frozen=True)
 class ExitCommand:
-    """Step 6: the pass is over, or failed; the worker returns."""
+    """The session is closing, after its last pass or a failed one; the
+    worker returns."""
 
 
 @dataclass(frozen=True)

@@ -358,6 +358,15 @@ class TestMainErrors:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "synth", "run"])
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_out_of_range_names_the_option(self, tmp_path, capsys, command, seed):
+        argv = [command, "--seed", str(seed)]
+        if command != "check":
+            argv += ["--config", str(_write_config(tmp_path, _LG_YAML))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --seed must be an integer in [0, 2**64), got {seed}\n"
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "nope.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -6,10 +6,12 @@ import math
 import multiprocessing
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from pmcmc.core import (
     ValidationError,
     derive_seeds,
 )
-from pmcmc.executor import _WorkerRuntime, run_particle_filter, worker_lineages
+from pmcmc.executor import FilterSession, _WorkerRuntime, run_particle_filter, worker_lineages
 from pmcmc.instrumentation import MASTER_RANK, STAGES
 from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel, get_model_entry
 from pmcmc.models.predator_prey import DESK_DEFAULTS, ibm_synthesize
@@ -264,19 +266,20 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
                                 reason="worker processes need the fork start method")
 
 
-def _init_seed(lineage):
-    """Model-stream seed of a lineage at initialization (chain 0, sample 0)."""
-    return derive_seeds(0, 0, 0, np.array([lineage]), MODEL_STREAM)[0]
+def _init_seed(lineage, sample_index=0):
+    """Model-stream seed of a lineage at initialization (chain 0)."""
+    return derive_seeds(0, sample_index, 0, np.array([lineage]), MODEL_STREAM)[0]
 
 
 class _FaultyModel(LinearGaussianModel):
-    """Linear-Gaussian model that fails in one way on one lineage only,
-    recognised by its initialization seed; every fault fires by event 1."""
+    """Linear-Gaussian model that fails in one way on one lineage of one
+    pass only, recognised by its initialization seed; every fault fires by
+    event 1."""
 
-    def __init__(self, fault, lineage):
+    def __init__(self, fault, lineage, sample_index=0):
         super().__init__()
         self._fault = fault
-        self._poison = _init_seed(lineage)
+        self._poison = _init_seed(lineage, sample_index)
         self._poisoned = False
 
     def _fires(self, fault):
@@ -293,6 +296,8 @@ class _FaultyModel(LinearGaussianModel):
             raise RuntimeError("injected run fault")
         if self._fires("kill"):
             os._exit(3)
+        if self._fires("exit"):
+            sys.exit()          # a silent end: exit code 0, or a thread that just stops
         super().run(target_time)
 
     def log_observe(self, data):
@@ -306,11 +311,11 @@ class _FaultyModel(LinearGaussianModel):
 
 
 class _StuckModel(DelayModel):
-    """Delay model that hangs on one lineage only."""
+    """Delay model that hangs on one lineage of one pass only."""
 
-    def __init__(self, lineage):
+    def __init__(self, lineage, sample_index=0):
         super().__init__(delay_ms=0.0)
-        self._poison = _init_seed(lineage)
+        self._poison = _init_seed(lineage, sample_index)
         self._stuck = False
 
     def init(self, parameters, seed):
@@ -356,7 +361,32 @@ _MODEL_FAULTS = [
     ("nan", 3, 1, "5/observe[1]"),
     ("inf", 0, 0, "5/observe[1]"),
     ("kill", 3, 1, "5/gather[1]"),
+    ("exit", 3, 1, "5/gather[1]"),
 ]
+
+def _in_both_passes(rows):
+    """Each fault case in a pass of its own (sample 0, under the case's
+    plain id) and in a session's second pass (sample 1), after a clean
+    first one on the same workers."""
+    return [pytest.param(*row, sample_index,
+                         id="-".join(map(str, row)) + ("-second-pass" if sample_index else ""))
+            for sample_index in (0, 1) for row in rows]
+
+
+def _failing_pass(factory, parameters, workers, timeout, sample_index):
+    """Run the failing pass; return its error, its seconds, and the live
+    threads and processes just after it (a failed pass closes its session)."""
+    def run(sample, session=None):
+        return run_particle_filter(factory, parameters, _OBS, 4, workers, sample_index=sample,
+                                   timeout=timeout, session=session)
+
+    with FilterSession(factory, 4, workers, timeout=timeout) as session:
+        for sample in range(sample_index):
+            run(sample, session)
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError) as info:
+            run(sample_index, session if sample_index else None)
+        return info.value, time.perf_counter() - started, _live()
 
 
 @needs_fork
@@ -365,28 +395,49 @@ class TestFaultInjection:
     on rank 0 and 2, 3 on rank 1). The error must name the failing rank
     and step, arrive within a second, and leave no worker behind."""
 
-    @pytest.mark.parametrize("fault, lineage, rank, step", _MODEL_FAULTS)
-    def test_failing_model(self, fault, lineage, rank, step):
+    @pytest.mark.parametrize("fault, lineage, rank, step, sample_index", _in_both_passes(_MODEL_FAULTS))
+    def test_failing_model(self, fault, lineage, rank, step, sample_index):
         before = _live()
-        started = time.perf_counter()
-        with pytest.raises(ProtocolError) as info:
-            run_particle_filter(lambda: _FaultyModel(fault, lineage), _THETA, _OBS, 4, 2, timeout=4.0)
-        assert time.perf_counter() - started < 1.0
-        assert (info.value.rank, info.value.step) == (rank, step)
-        assert str(info.value).count("(rank ") == 1
-        assert _live() == before
+        error, seconds, live = _failing_pass(lambda: _FaultyModel(fault, lineage, sample_index),
+                                             _THETA, 2, 4.0, sample_index)
+        assert seconds < 1.0
+        assert (error.rank, error.step) == (rank, step)
+        assert str(error).count("(rank ") == 1
+        assert live == before
 
     def test_stuck_worker(self):
+        self._stuck_worker(0)
+
+    def test_stuck_worker_in_a_second_pass(self):
+        self._stuck_worker(1)
+
+    @staticmethod
+    def _stuck_worker(sample_index):
         before = _live()
-        started = time.perf_counter()
-        with pytest.raises(ProtocolError) as info:
-            run_particle_filter(lambda: _StuckModel(2), Parameters({}), _OBS, 4, 2, timeout=0.2)
-        assert time.perf_counter() - started < 1.0
-        assert (info.value.rank, info.value.step) == (1, "5/gather[1]")
-        assert "timed out" in str(info.value)
-        assert "ranks [1]" in str(info.value)
-        assert str(info.value).count("(rank ") == 1
-        assert _live() == before
+        error, seconds, live = _failing_pass(lambda: _StuckModel(2, sample_index), Parameters({}),
+                                             2, 0.2, sample_index)
+        assert seconds < 1.0
+        assert (error.rank, error.step) == (1, "5/gather[1]")
+        assert "timed out" in str(error)
+        assert "ranks [1]" in str(error)
+        assert str(error).count("(rank ") == 1
+        assert live == before
+
+    def test_worker_killed_between_passes(self):
+        before = _live()
+        with FilterSession(LinearGaussianModel, 4, 2, timeout=4.0) as session:
+            run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2, timeout=4.0, session=session)
+            victim = session._started[1]
+            victim.kill()
+            victim.join(1.0)
+            started = time.perf_counter()
+            with pytest.raises(ProtocolError) as info:
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2, sample_index=1,
+                                    timeout=4.0, session=session)
+            assert time.perf_counter() - started < 1.0
+            assert (info.value.rank, info.value.step) == (1, "5/gather[1]")
+            assert "exited with code -9" in str(info.value)
+            assert _live() == before
 
     # Whole-pass routing and transfer faults. Identity resampling keeps
     # lineages 0, 1 on rank 0 and 2, 3 on rank 1; the master's routing is
@@ -444,18 +495,18 @@ class TestThreadFaultInjection:
     thread can be neither killed nor stopped, so the kill and the hang are
     left out."""
 
-    @pytest.mark.parametrize("fault, lineage, step",
-                             [(fault, lineage, step) for fault, lineage, _, step in _MODEL_FAULTS
-                              if fault != "kill"])
-    def test_failing_model(self, fault, lineage, step):
-        before = threading.active_count()
-        started = time.perf_counter()
-        with pytest.raises(ProtocolError) as info:
-            run_particle_filter(lambda: _FaultyModel(fault, lineage), _THETA, _OBS, 4, 1, timeout=4.0)
-        assert time.perf_counter() - started < 1.0
-        assert (info.value.rank, info.value.step) == (0, step)
-        assert str(info.value).count("(rank ") == 1
-        assert threading.active_count() == before
+    # the thread that a model's sys.exit() ends is reported by pytest too
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("fault, lineage, step, sample_index", _in_both_passes(
+        [(fault, lineage, step) for fault, lineage, _, step in _MODEL_FAULTS if fault != "kill"]))
+    def test_failing_model(self, fault, lineage, step, sample_index):
+        before = _live()
+        error, seconds, live = _failing_pass(lambda: _FaultyModel(fault, lineage, sample_index),
+                                             _THETA, 1, 4.0, sample_index)
+        assert seconds < 1.0
+        assert (error.rank, error.step) == (0, step)
+        assert str(error).count("(rank ") == 1
+        assert live == before
 
 
 def _count_messages(monkeypatch) -> dict:
@@ -483,6 +534,16 @@ class TestMessageCount:
         run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1)
         assert sent == {"Broadcast": 1, "Advance": n, "ExitCommand": 1, "WorkerReport": n}
         assert sum(sent.values()) == 2 * n + 2
+
+    def test_session_passes_send_no_exit(self, monkeypatch):
+        sent = _count_messages(monkeypatch)
+        n = len(_OBS)
+        with FilterSession(LinearGaussianModel, 8, 1) as session:
+            for sample_index in range(2):
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1,
+                                    sample_index=sample_index, session=session)
+            assert sent == {"Broadcast": 2, "Advance": 2 * n, "WorkerReport": 2 * n}
+        assert sent["ExitCommand"] == 1
 
     def test_degenerate_break(self, monkeypatch):
         sent = _count_messages(monkeypatch)
@@ -561,6 +622,147 @@ class TestLaunchers:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestFilterSession:
+    """A session's passes run on the same workers and instance pools, and
+    give what a fresh pass gives: every pass reinitializes its particles."""
+
+    _DEGENERATE = ObservationSeries((1, 2, 3), ({"y": 0.3}, {"y": 1e200}, {"y": 0.5}))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_passes_match_fresh_passes(self, workers):
+        # the degenerate pass leaves its particles mid-series for the next
+        passes = [(Parameters({"a": 0.8}), _OBS), (Parameters({"a": 0.3}), self._DEGENERATE),
+                  (Parameters({"a": 0.8}), _OBS), (Parameters({"a": -0.5}), _OBS)]
+
+        def summary(result):
+            est, d = result.estimate, result.diagnostics
+            return (est.log_value.hex(), est.log_std, est.per_observation_means, d.resample_counts,
+                    d.move_fractions, d.copy_fractions, d.degenerate_observations)
+
+        before = _live()
+        with FilterSession(LinearGaussianModel, 8, workers, chain_index=3) as session:
+            reused = [summary(run_particle_filter(LinearGaussianModel, theta, obs, 8, workers,
+                                                  chain_index=3, sample_index=k, session=session))
+                      for k, (theta, obs) in enumerate(passes)]
+        fresh = [summary(run_particle_filter(LinearGaussianModel, theta, obs, 8, workers,
+                                             chain_index=3, sample_index=k))
+                 for k, (theta, obs) in enumerate(passes)]
+        assert reused == fresh
+        assert reused[1][-1] == (2,)
+        assert _live() == before
+
+    @needs_fork
+    def test_workers_launch_once(self, monkeypatch):
+        before = _live()
+        starts = _count_starts(monkeypatch)
+        with FilterSession(LinearGaussianModel, 4, 2) as session:
+            for sample_index in range(3):
+                run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2,
+                                    sample_index=sample_index, session=session)
+            assert len(starts) == 2
+            assert _live() != before
+        assert _live() == before
+
+    def test_session_must_match_the_pass(self):
+        before = _live()
+        with FilterSession(LinearGaussianModel, 4, 2, chain_index=1, timeout=5.0) as session:
+            for factory, p, W, chain_index, timeout in [
+                (DelayModel, 4, 2, 1, 5.0), (LinearGaussianModel, 8, 2, 1, 5.0),
+                (LinearGaussianModel, 4, 1, 1, 5.0), (LinearGaussianModel, 4, 2, 0, 5.0),
+                (LinearGaussianModel, 4, 2, 1, 4.0),
+            ]:
+                with pytest.raises(ValidationError, match="another model factory"):
+                    run_particle_filter(factory, _THETA, _OBS, p, W, chain_index=chain_index,
+                                        timeout=timeout, session=session)
+            assert session._started == []          # nothing launched for a rejected pass
+            run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2, chain_index=1,
+                                timeout=5.0, session=session)
+        with pytest.raises(ValidationError, match="closed"):
+            run_particle_filter(LinearGaussianModel, _THETA, _OBS, 4, 2, chain_index=1,
+                                timeout=5.0, session=session)
+        for bad in [dict(ensemble_size=0), dict(workers=True), dict(timeout=0.0),
+                    dict(chain_index=-1)]:
+            with pytest.raises(ValidationError):
+                FilterSession(LinearGaussianModel, **{"ensemble_size": 4, "workers": 2, **bad})
+        assert _live() == before
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_no_worker_outlives_a_killed_master(self, tmp_path):
+        """A chain's master killed by SIGKILL leaves no worker running:
+        each notices within ``_POLL_INTERVAL`` that its parent is gone."""
+        script = tmp_path / "chain.py"
+        script.write_text(_ORPHAN_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=str(Path(pmcmc.__file__).parents[1]))
+        master = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                                  text=True)
+        try:
+            pids = [int(master.stdout.readline()) for _ in range(2)]
+            time.sleep(0.3)                     # into the chain's later passes
+            assert master.poll() is None
+        finally:
+            master.kill()
+            master.wait()
+            master.stdout.close()
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and any(_running(pid) for pid in pids):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
+
+# A W=2 linear-Gaussian chain that prints its workers' process ids as they
+# start, then runs until it is killed.
+_ORPHAN_SCRIPT = """
+import types
+import pmcmc.executor
+from pmcmc.core import Parameters
+from pmcmc.models import LinearGaussianModel
+from pmcmc.models.linear_gaussian import synthesize_linear_gaussian
+from pmcmc.sampler import Prior, SamplerSettings, UniformPrior, run_chain
+
+context = pmcmc.executor._fork_context()
+
+
+class Announced(context.Process):
+    def start(self):
+        super().start()
+        print(self.pid, flush=True)
+
+
+pmcmc.executor._fork_context = lambda: types.SimpleNamespace(Queue=context.Queue, Process=Announced)
+observations = synthesize_linear_gaussian(Parameters({"a": 0.6}), (1, 2, 3, 4), seed=1)
+settings = SamplerSettings(Parameters({"a": 0.5}), 10**9, {"a": 0.2},
+                           Prior({"a": UniformPrior(-1.0, 1.0)}), 16, 2)
+run_chain(settings, LinearGaussianModel, observations)
+"""
+
+
+def _running(pid) -> bool:
+    """A process with this id exists and is not a zombie left for its reaper."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def _count_starts(monkeypatch) -> list:
+    """Record every worker process the executor starts."""
+    context = pmcmc.executor._fork_context()
+    starts = []
+
+    class Counted(context.Process):
+        def start(self):
+            starts.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(pmcmc.executor, "_fork_context",
+                        lambda: types.SimpleNamespace(Queue=context.Queue, Process=Counted))
+    return starts
 
 
 def _runtime(rank, p, W, timeout=0.2):

@@ -357,6 +357,33 @@ class TestStateContract:
         for attr in sorted(vars(source).keys() | vars(loaded).keys()):
             assert _same(getattr(source, attr), getattr(loaded, attr)), attr
 
+    @pytest.mark.parametrize("name", sorted(models._REGISTRY))
+    def test_init_on_a_used_instance_matches_a_fresh_one(self, name):
+        """A session's workers keep their instances from pass to pass, so
+        ``init`` must leave nothing of what an instance did before: a
+        pass's worth of run, copy_from and reseed on other parameters."""
+        factory = get_model_entry(name).factory
+        other = {"linear_gaussian": {"a": 0.2, "m0": 3.0}, "predator_prey": {"K_prey": 40.0},
+                 "delay": {}}[name]
+        used, source = factory({}), factory({})
+        used.init(Parameters(other), 3)
+        source.init(Parameters(other), 4)
+        used.run(2)
+        source.run(5)
+        used.copy_from(source)
+        used.reseed(9)
+        used.run(7)
+        fresh = factory({})
+        for model in (used, fresh):
+            model.init(Parameters({}), 17)
+        assert used.save() == fresh.save()
+        for target in (1, 3):
+            used.run(target)
+            fresh.run(target)
+            assert used.save() == fresh.save()
+        if fresh._rng is not None:
+            assert used._rng.random(4).tolist() == fresh._rng.random(4).tolist()
+
     def test_load_rejects_other_fields(self):
         model = LinearGaussianModel()
         for payload in ({"_cfg": {}, "_time": 0, "_rng": None},

@@ -4,6 +4,7 @@ import logging
 import math
 
 import pytest
+from test_executor import _count_messages, _count_starts, _FaultyModel, _live, needs_fork
 
 from pmcmc.core import EngineError, Parameters, ValidationError, make_stream
 from pmcmc.models import LinearGaussianModel, synthesize_linear_gaussian
@@ -250,6 +251,32 @@ class TestRunChain:
         assert [r.theta for r in chains[1]] == [r.theta for r in chains[2]]
         assert [r.log_likelihood for r in chains[1]] == [r.log_likelihood for r in chains[2]]
         assert [r.accepted for r in chains[1]] == [r.accepted for r in chains[2]]
+
+    @needs_fork
+    def test_filter_backed_chain_launches_its_workers_once(self, monkeypatch):
+        """Every pass of a chain runs on one session: a W=2 chain of 4
+        samples starts 2 worker processes and tells each to exit once."""
+        before = _live()
+        starts = _count_starts(monkeypatch)
+        sent = _count_messages(monkeypatch)
+        obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4, 6), seed=11)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE, 8, 2)
+        records = run_chain(settings, LinearGaussianModel, obs, chain_index=4)
+        assert all(r.filter is not None for r in records)
+        assert len(starts) == 2
+        assert sent["Broadcast"] == 2 * len(records)
+        assert sent["ExitCommand"] == 2
+        assert _live() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_pass_ends_the_chain_and_its_workers(self, workers):
+        # the model fails at sample 1, the chain's second pass
+        obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4, 6), seed=11)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE, 4, workers)
+        before = _live()
+        with pytest.raises(EngineError, match="failed at sample 1: RuntimeError: injected run fault"):
+            run_chain(settings, lambda: _FaultyModel("run", 3, 1), obs)
+        assert _live() == before
 
     def test_filter_evaluator_matches_direct_run(self):
         from pmcmc.executor import run_particle_filter
