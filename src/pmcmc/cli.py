@@ -220,15 +220,15 @@ def _check_routing_battery(seed: int, fault: bool) -> tuple[bool, str]:
             held = np.array([w for w in range(workers) for _ in worker_lineages(w, p, workers)])
         else:
             held = np.sort(rng.integers(0, workers, size=p))
-        routing = compute_routing(counts, held, workers)
+        _, source, destination, _, copies = compute_routing(counts, held, workers).T
         w_max = -(-p // workers)
-        loads = np.bincount(routing.destination, weights=routing.copies, minlength=workers)
-        moved = routing.destination != routing.source
-        if routing.ensemble_size != p:
-            return False, f"case {case}: {routing.ensemble_size} entries for p={p}"
+        loads = np.bincount(destination, weights=copies, minlength=workers)
+        moved = destination != source
+        if copies.sum() != p:
+            return False, f"case {case}: {copies.sum()} entries for p={p}"
         if loads.max() > w_max:
             return False, f"case {case}: load limit {w_max} exceeded"
-        for worker in sorted(set(routing.source[moved].tolist())):
+        for worker in sorted(set(source[moved].tolist())):
             if loads[worker] < w_max:
                 return False, f"case {case}: moved off worker {worker} despite spare capacity"
         # an identity resample stays put wherever its layout fits the capacity

@@ -18,7 +18,8 @@ filtering pass over an observation series:
     estimate; the workers wait for the next pass's step 1
 7.  the master resamples the ensemble (virtually: counts only)
 8.  the master computes the routing that rebalances the resampled
-    ensemble across workers, as placement orders (``routing.Routing``)
+    ensemble across workers, a table of placement orders
+    (``routing.compute_routing``)
 9.  each worker's slice of the orders, those it sends or receives,
     travels with the next step 3
 10. on it, before step 4, workers (a) prune, (b) start one asynchronous
@@ -87,7 +88,7 @@ from .filtering import (
 )
 from .instrumentation import MASTER_RANK, StageTiming
 from .models.base import Model
-from .routing import compute_routing, traffic_metrics
+from .routing import compute_routing, traffic_metrics, worker_slice
 from .transport import (
     Advance,
     Broadcast,
@@ -152,7 +153,6 @@ class FilterDiagnostics:
     copy_fractions: tuple
     timings: tuple                  # StageTiming records, master rank -1
     marks: tuple                    # (worker, name, observation_index, timestamp)
-    degenerate_observations: tuple
 
 
 @dataclass(frozen=True)
@@ -541,7 +541,6 @@ class FilterSession:
         redraw_rates: list[float] = []
         move_fractions: list[float] = []
         copy_fractions: list[float] = []
-        degenerate: tuple = ()
 
         t_start = perf_counter()
         try:
@@ -579,11 +578,7 @@ class FilterSession:
                 rows.append(row)
 
                 shift = row.max()
-                if shift == -np.inf:
-                    degenerate = (j,)
-                    break
-
-                if j == n:
+                if shift == -np.inf or j == n:
                     break
 
                 # step 7: virtual resampling on the master
@@ -600,16 +595,16 @@ class FilterSession:
 
                 # step 8: routing
                 t0 = perf_counter()
-                routing = compute_routing(counts, held, workers)
-                move, copy = traffic_metrics(routing)
+                orders = compute_routing(counts, held, workers)
+                move, copy = traffic_metrics(orders)
                 timings.append(StageTiming("route", MASTER_RANK, sample_index, j,
                                            perf_counter() - t0))
                 move_fractions.append(move)
                 copy_fractions.append(copy)
 
                 # step 9: the slices ride on the next event's command
-                slices = [routing.slice_table(rank) for rank in range(workers)]
-                held = np.repeat(routing.destination, routing.copies)
+                slices = [worker_slice(orders, rank) for rank in range(workers)]
+                held = np.repeat(orders[:, 2], orders[:, 4])
         except BaseException:
             self.close()
             raise
@@ -625,7 +620,6 @@ class FilterSession:
             copy_fractions=tuple(copy_fractions),
             timings=tuple(timings),
             marks=tuple(sorted(marks, key=lambda m: m[3])),
-            degenerate_observations=degenerate,
         )
         return FilterResult(estimate=estimate, diagnostics=diagnostics)
 

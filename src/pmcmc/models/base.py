@@ -19,7 +19,8 @@ class Model(ABC):
     state; the base class saves, loads, reseeds and copies it. A model
     must replace, never mutate, the objects named in ``_FIELDS``: replicas
     share them. The random stream is the Philox generator ``_rng`` (None
-    until ``init``), which only this class saves, restores and rekeys.
+    until ``init``), which only this class saves, restores and rekeys;
+    ``init`` starts it with ``_keyed_stream(seed)``.
 
     An instance is single-threaded and owns its full state, including its
     random stream, so that ``load(save())`` reproduces future behavior
@@ -92,10 +93,17 @@ class Model(ABC):
         if rng is None:
             self._rng = None
         else:
-            # reuse a live generator when present, construction dominates load cost
-            if self._rng is None:
-                self._rng = make_stream(0)
-            self._rng.bit_generator.state = rng
+            self._keyed_stream(0).bit_generator.state = rng
+
+    def _keyed_stream(self, seed: int):
+        """The instance's generator, restarted on the stream keyed by ``seed``.
+        It is built once and rekeyed in place after that: construction costs
+        several times a rekey, and the engine reuses instances across passes."""
+        if self._rng is None:
+            self._rng = make_stream(seed)
+        else:
+            rekey(self._rng, seed)
+        return self._rng
 
     def reseed(self, seed: int) -> None:
         """Replace the random stream without touching the state."""

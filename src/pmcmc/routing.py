@@ -2,8 +2,13 @@
 
 After each resampling the master decides where every surviving replica
 will live. Local replication is preferred; only the overflow is routed,
-to the nearest worker by rank distance. The result is a deterministic,
-serializable set of placement orders; workers execute their slice of it.
+to the nearest worker by rank distance. The result is a deterministic
+table of placement orders, an (m, 5) int32 array with one row
+(lineage, source, destination, first_new_id, copies) per order: it puts
+``copies`` replicas of ``lineage``, held by worker ``source``, on worker
+``destination`` under new ids first_new_id .. first_new_id + copies - 1.
+Rows are distinct (lineage, destination) pairs in ascending order, so the
+new ids run 0..p-1 down the table. Workers execute their slice of it.
 """
 
 from __future__ import annotations
@@ -15,61 +20,7 @@ import numpy as np
 
 from .core import ValidationError
 
-__all__ = ["Routing", "compute_routing", "traffic_metrics"]
-
-
-class Routing:
-    """Placement of a resampled ensemble: one row per placement order.
-
-    Row i places ``copies[i]`` replicas of lineage ``lineage[i]``, held by
-    worker ``source[i]``, on worker ``destination[i]``, under the next
-    ``copies[i]`` new lineage ids. Rows are distinct (lineage, destination)
-    pairs in ascending order. The constructor takes ownership of the four
-    1-D integer arrays and makes them read-only. ``W_max`` bounds every
-    worker's load.
-    """
-
-    __slots__ = ("lineage", "source", "destination", "copies", "W_max")
-
-    def __init__(self, lineage: np.ndarray, source: np.ndarray, destination: np.ndarray,
-                 copies: np.ndarray, W_max: int):
-        if lineage.size == 0:
-            raise ValidationError("routing must contain at least one entry")
-        if W_max < 1:
-            raise ValidationError(f"W_max must be >= 1, got {W_max}")
-        if not lineage.shape == source.shape == destination.shape == copies.shape == (lineage.size,):
-            raise ValidationError("routing columns must be 1-D arrays of one length")
-        if destination.min() < 0:
-            raise ValidationError("routing names a negative destination worker")
-        if copies.min() < 1:
-            raise ValidationError("routing orders must place at least one copy")
-        loads = np.bincount(destination, weights=copies)
-        overloaded = {w: int(loads[w]) for w in np.flatnonzero(loads > W_max).tolist()}
-        if overloaded:
-            raise ValidationError(f"destination load exceeds W_max={W_max}: {overloaded}")
-        for column in (lineage, source, destination, copies):
-            column.flags.writeable = False
-        self.lineage, self.source, self.destination, self.copies = lineage, source, destination, copies
-        self.W_max = int(W_max)
-
-    def __repr__(self) -> str:
-        return f"Routing(p={self.ensemble_size}, W_max={self.W_max})"
-
-    @property
-    def ensemble_size(self) -> int:
-        return int(self.copies.sum())
-
-    def slice_table(self, worker: int | None = None) -> np.ndarray:
-        """Orders (lineage_id, source, destination, first_new_id, copies) as
-        an (m, 5) int32 array, the compact form sent to workers: every row,
-        or the rows a worker takes part in as sender or receiver. An order's
-        replicas take new ids first_new_id .. first_new_id + copies - 1."""
-        first = np.cumsum(self.copies) - self.copies
-        table = np.column_stack((self.lineage, self.source, self.destination,
-                                 first, self.copies)).astype(np.int32)
-        if worker is None:
-            return table
-        return table[(self.source == worker) | (self.destination == worker)]
+__all__ = ["compute_routing", "traffic_metrics", "worker_slice"]
 
 
 def _validate_counts(counts: Sequence[int], W: int) -> np.ndarray:
@@ -98,8 +49,9 @@ def _validate_workers(worker_of: np.ndarray, p: int, W: int) -> np.ndarray:
     return held.astype(np.int64)
 
 
-def compute_routing(counts: Sequence[int], worker_of: np.ndarray, W: int) -> Routing:
-    """Two-stage greedy placement of the resampled ensemble.
+def compute_routing(counts: Sequence[int], worker_of: np.ndarray, W: int) -> np.ndarray:
+    """Two-stage greedy placement of the resampled ensemble, as the order
+    table the module docstring describes.
 
     ``counts`` holds every lineage's integer replica count and
     ``worker_of`` its current worker, both indexed by lineage id.
@@ -148,16 +100,22 @@ def compute_routing(counts: Sequence[int], worker_of: np.ndarray, W: int) -> Rou
     dest = np.concatenate((worker_of[local], extra[:, 1]))
     k = np.concatenate((kept[local], extra[:, 2]))
     order = np.lexsort((dest, lin))
-    return Routing(lin[order], worker_of[lin[order]], dest[order], k[order], w_max)
+    lin, dest, k = lin[order], dest[order], k[order]
+    return np.column_stack((lin, worker_of[lin], dest, np.cumsum(k) - k, k)).astype(np.int32)
 
 
-def traffic_metrics(routing: Routing) -> tuple[float, float]:
-    """(move_fraction, copy_fraction) of a routing.
+def worker_slice(orders: np.ndarray, rank: int) -> np.ndarray:
+    """The rows of an order table that worker ``rank`` sends or receives."""
+    return orders[(orders[:, 1] == rank) | (orders[:, 2] == rank)]
+
+
+def traffic_metrics(orders: np.ndarray) -> tuple[float, float]:
+    """(move_fraction, copy_fraction) of an order table.
 
     A move is an order that crosses workers: its replicas travel as one
     transfer and are replicated on arrival. Copies are the replicas
     beyond the first of each order, wherever they are made.
     """
-    p = routing.ensemble_size
-    moves = int(np.count_nonzero(routing.destination != routing.source))
-    return moves / p, (p - routing.lineage.size) / p
+    p = int(orders[:, 4].sum())
+    moves = int(np.count_nonzero(orders[:, 2] != orders[:, 1]))
+    return moves / p, (p - len(orders)) / p

@@ -138,10 +138,6 @@ class ChainRecord:
     proposal: Parameters
     filter: FilterDiagnostics | None = None
 
-    @property
-    def log_posterior(self) -> float:
-        return self.log_likelihood + self.log_prior
-
 
 class Evaluation(NamedTuple):
     log_likelihood: float
@@ -153,22 +149,15 @@ class Evaluation(NamedTuple):
 Evaluator = Callable[[Parameters, int], Evaluation]
 
 
-def make_filter_evaluator(
-    model_factory: Callable[[], Model],
-    observations: ObservationSeries,
-    ensemble_size: int,
-    workers: int,
-    *,
-    chain_index: int = 0,
-    session: FilterSession | None = None,
-) -> Evaluator:
+def make_filter_evaluator(session: FilterSession, observations: ObservationSeries) -> Evaluator:
     """Likelihood evaluator backed by the parallel particle filter: one
-    pass per evaluation, on ``session`` if given (opened with the same
-    factory, sizes and chain index), else on a session of its own."""
+    pass on ``session`` per evaluation, with its factory, sizes, chain
+    index and timeout."""
 
     def evaluate(theta: Parameters, sample_index: int) -> Evaluation:
-        result = run_particle_filter(model_factory, theta, observations, ensemble_size, workers,
-                                     chain_index=chain_index, sample_index=sample_index,
+        result = run_particle_filter(session.model_factory, theta, observations, session.ensemble_size,
+                                     session.workers, chain_index=session.chain_index,
+                                     sample_index=sample_index, timeout=session.timeout,
                                      session=session)
         estimate = result.estimate
         return Evaluation(estimate.log_value, estimate.log_std, result.diagnostics)
@@ -310,8 +299,7 @@ def run_chain(
                                   "unless an evaluator is supplied")
         with FilterSession(model_factory, settings.ensemble_size, settings.workers,
                            chain_index=chain_index) as session:
-            evaluator = make_filter_evaluator(model_factory, observations, settings.ensemble_size,
-                                              settings.workers, chain_index=chain_index, session=session)
+            evaluator = make_filter_evaluator(session, observations)
             return run_chain(settings, None, None, chain_index=chain_index, evaluator=evaluator)
 
     log_prior_initial = settings.prior.log_density(settings.initial)

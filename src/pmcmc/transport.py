@@ -43,9 +43,10 @@ class Broadcast:
 class Advance:
     """Step 3: next observation event. observation_index is 1-based; 0 is
     reserved for initialization in the seed hierarchy. ``routing`` is step
-    9: this worker's slice of the previous event's routing, an int32
-    (m, 5) array of placement orders (lineage_id, source, destination,
-    first_new_id, copies), or None at event 1."""
+    9: the rows of the previous event's order table that this worker sends
+    or receives (``routing.worker_slice``), int32 placement orders
+    (lineage_id, source, destination, first_new_id, copies), or None at
+    event 1."""
 
     observation_index: int
     target_time: float

@@ -32,7 +32,6 @@ from pmcmc.executor import FilterSession, _WorkerRuntime, run_particle_filter, w
 from pmcmc.instrumentation import MASTER_RANK, STAGES
 from pmcmc.models import DelayModel, LinearGaussianModel, PredatorPreyModel, get_model_entry
 from pmcmc.models.predator_prey import DESK_DEFAULTS, ibm_synthesize
-from pmcmc.routing import Routing
 from pmcmc.transport import Broadcast, Channel, ParticleTransfer
 
 _OBS = ObservationSeries((5, 10, 15, 20),
@@ -194,13 +193,12 @@ class TestDiagnostics:
 
     def test_degenerate_event_aborts_cleanly(self):
         # an impossible observation zeroes every particle: the pass stops
-        # at that event and reports it in both index conventions
+        # at that event, and the estimate flags its 0-based row
         obs = ObservationSeries((1, 2, 3), ({"y": 0.3}, {"y": 1e200}, {"y": 0.5}))
         result = run_particle_filter(LinearGaussianModel, _THETA, obs, 8, 2)
         assert result.estimate.log_value == -math.inf
         assert math.isnan(result.estimate.log_std)
         assert result.estimate.degenerate_observations == (1,)
-        assert result.diagnostics.degenerate_observations == (2,)
         assert len(result.diagnostics.resample_counts) == 1
         assert len(result.estimate.per_observation_means) == 2
 
@@ -333,24 +331,16 @@ def _live():
 
 
 def _tamper_routing(monkeypatch, slices):
-    """Swap the master's routing for one whose ``slice_table`` hands each
-    rank in ``slices`` the listed rows instead of its own."""
-    computed = pmcmc.executor.compute_routing
+    """Hand each rank in ``slices`` the listed rows instead of its own
+    slice of the master's order table."""
+    computed = pmcmc.executor.worker_slice
 
-    class Tampered(Routing):
-        __slots__ = ()
+    def tampered(orders, rank):
+        if rank in slices:
+            return np.array(slices[rank], dtype=np.int32)
+        return computed(orders, rank)
 
-        def slice_table(self, worker=None):
-            if worker in slices:
-                return np.array(slices[worker], dtype=np.int32)
-            return super().slice_table(worker)
-
-    def tampered(counts, worker_of, W):
-        routing = computed(counts, worker_of, W)
-        return Tampered(routing.lineage, routing.source, routing.destination, routing.copies,
-                        routing.W_max)
-
-    monkeypatch.setattr(pmcmc.executor, "compute_routing", tampered)
+    monkeypatch.setattr(pmcmc.executor, "worker_slice", tampered)
 
 
 # (fault, poisoned lineage, failing rank at W=2, step)
@@ -549,7 +539,7 @@ class TestMessageCount:
         sent = _count_messages(monkeypatch)
         obs = ObservationSeries((1, 2, 3), ({"y": 0.3}, {"y": 1e200}, {"y": 0.5}))
         result = run_particle_filter(LinearGaussianModel, _THETA, obs, 8, 1)
-        assert result.diagnostics.degenerate_observations == (2,)
+        assert result.estimate.degenerate_observations == (1,)
         assert sent == {"Broadcast": 1, "Advance": 2, "ExitCommand": 1, "WorkerReport": 2}
 
 
@@ -639,7 +629,7 @@ class TestFilterSession:
         def summary(result):
             est, d = result.estimate, result.diagnostics
             return (est.log_value.hex(), est.log_std, est.per_observation_means, d.resample_counts,
-                    d.move_fractions, d.copy_fractions, d.degenerate_observations)
+                    d.move_fractions, d.copy_fractions, est.degenerate_observations)
 
         before = _live()
         with FilterSession(LinearGaussianModel, 8, workers, chain_index=3) as session:
@@ -650,8 +640,22 @@ class TestFilterSession:
                                              chain_index=3, sample_index=k))
                  for k, (theta, obs) in enumerate(passes)]
         assert reused == fresh
-        assert reused[1][-1] == (2,)
+        assert reused[1][-1] == (1,)
         assert _live() == before
+
+    def test_init_rekeys_a_pooled_generator(self):
+        # the worker is a thread here, so its instances are visible
+        built = []
+
+        def factory():
+            built.append(LinearGaussianModel())
+            return built[-1]
+
+        with FilterSession(factory, 8, 1) as session:
+            run_particle_filter(factory, _THETA, _OBS, 8, 1, session=session)
+            generators = [(model, model._rng) for model in built]
+            run_particle_filter(factory, _THETA, _OBS, 8, 1, sample_index=1, session=session)
+        assert all(model._rng is rng for model, rng in generators)
 
     @needs_fork
     def test_workers_launch_once(self, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from pmcmc.core import ValidationError
 from pmcmc.executor import worker_lineages
-from pmcmc.routing import Routing, compute_routing, traffic_metrics
+from pmcmc.routing import compute_routing, traffic_metrics, worker_slice
 
 
 def _balanced(p, W):
@@ -15,18 +15,17 @@ def _balanced(p, W):
     return np.array([w for w in range(W) for _ in worker_lineages(w, p, W)])
 
 
-def _replicas(routing):
-    """The routing's placement orders expanded to one row per replica,
-    (lineage, source, destination, new id), in new id order."""
-    table = routing.slice_table()
+def _replicas(table):
+    """An order table expanded to one row per replica, (lineage, source,
+    destination, new id), in new id order."""
     copies = table[:, 4]
     rows = np.repeat(table[:, :4], copies, axis=0)
     rows[:, 3] += np.arange(len(rows)) - np.repeat(np.cumsum(copies) - copies, copies)
     return rows[np.argsort(rows[:, 3], kind="stable")]
 
 
-def _loads(routing, W):
-    return np.bincount(_replicas(routing)[:, 2], minlength=W).tolist()
+def _loads(orders, W):
+    return np.bincount(_replicas(orders)[:, 2], minlength=W).tolist()
 
 
 class TestHandTrace:
@@ -35,16 +34,15 @@ class TestHandTrace:
         replicas, every other worker receives one transfer and replicates
         it once. Three distinct transfers for eight placements."""
         counts = [8, 0, 0, 0, 0, 0, 0, 0]
-        routing = compute_routing(counts, _balanced(8, 4), 4)
-        lineage, source, destination, _ = _replicas(routing).T
-        assert routing.W_max == 2
-        assert _loads(routing, 4) == [2, 2, 2, 2]
+        orders = compute_routing(counts, _balanced(8, 4), 4)
+        lineage, source, destination, _ = _replicas(orders).T
+        assert _loads(orders, 4) == [2, 2, 2, 2]
         assert np.all(lineage == 0) and np.all(source == 0)
-        assert routing.ensemble_size == 8
+        assert int(orders[:, 4].sum()) == 8
         moved = destination != source
         cross = set(zip(lineage[moved].tolist(), destination[moved].tolist()))
         assert len(cross) == 3
-        move, copy = traffic_metrics(routing)
+        move, copy = traffic_metrics(orders)
         assert move == pytest.approx(3 / 8)
         assert copy == pytest.approx(0.5)
 
@@ -52,17 +50,16 @@ class TestHandTrace:
         # every particle survives once: nothing moves, nothing is copied,
         # and identity renumbering keeps each lineage id
         counts = [1] * 8
-        routing = compute_routing(counts, _balanced(8, 4), 4)
-        lineage, source, destination, _ = _replicas(routing).T
+        orders = compute_routing(counts, _balanced(8, 4), 4)
+        lineage, source, destination, _ = _replicas(orders).T
         assert np.array_equal(destination, source)
         assert np.array_equal(lineage, np.arange(8))
-        assert traffic_metrics(routing) == (0.0, 0.0)
+        assert traffic_metrics(orders) == (0.0, 0.0)
 
     def test_single_worker_point_mass(self):
         # one worker: no moves possible, p-1 copies
         counts = [4, 0, 0, 0]
-        routing = compute_routing(counts, _balanced(4, 1), 1)
-        move, copy = traffic_metrics(routing)
+        move, copy = traffic_metrics(compute_routing(counts, _balanced(4, 1), 1))
         assert move == 0.0
         assert copy == pytest.approx(3 / 4)
 
@@ -90,7 +87,7 @@ class TestHandTrace:
         counts = [0, 3, 1, 0, 2, 0, 1, 1]
         a = compute_routing(counts, _balanced(8, 3), 3)
         b = compute_routing(counts, _balanced(8, 3), 3)
-        assert np.array_equal(a.slice_table(), b.slice_table()) and a.W_max == b.W_max
+        assert np.array_equal(a, b)
 
 
 class TestLocalPriority:
@@ -115,32 +112,8 @@ class TestRoutingContainer:
         # the slice for worker 3 holds only its incoming order: lineage 0
         # from worker 0, two copies under new ids 6 and 7
         # (test_slices_partition_by_worker checks every worker's slice)
-        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
-        assert routing.slice_table(3).tolist() == [[0, 0, 3, 6, 2]]
-
-    def test_container_validation(self):
-        def column(*values):
-            return np.array(values, dtype=np.int64)
-
-        with pytest.raises(ValidationError):
-            Routing(column(), column(), column(), column(), 1)                   # empty
-        with pytest.raises(ValidationError):
-            Routing(column(0, 0), column(0), column(0, 0), column(1, 1), 2)      # ragged columns
-        with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(0), column(1, 1), 2)            # ragged copies
-        with pytest.raises(ValidationError):
-            Routing(column(0, 1), column(0, 0), column(0, 0), column(1, 1), 1)   # load 2 > W_max 1
-        with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(0), column(2), 1)               # load 2 > W_max 1
-        with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(-1), column(1), 1)              # negative worker
-        with pytest.raises(ValidationError):
-            Routing(column(0, 1), column(0, 0), column(0, 0), column(1, 0), 1)   # an empty order
-        with pytest.raises(ValidationError):
-            Routing(column(0), column(0), column(0), column(1), 0)
-        routing = Routing(column(0), column(0), column(0), column(1), 1)
-        with pytest.raises(ValueError):
-            routing.destination[0] = 1                                  # read-only
+        orders = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
+        assert worker_slice(orders, 3).tolist() == [[0, 0, 3, 6, 2]]
 
     def test_input_validation(self):
         held = _balanced(4, 2)
@@ -171,22 +144,21 @@ class TestRandomBattery:
             workers = rng.integers(0, W, size=p)
             probs = rng.dirichlet(np.ones(p))
             counts = rng.multinomial(p, probs)
-            routing = compute_routing(counts, workers, W)
-            lineage, source, _, new_id = _replicas(routing).T
+            orders = compute_routing(counts, workers, W)
+            lineage, source, _, new_id = _replicas(orders).T
 
-            assert routing.ensemble_size == p
-            assert routing.W_max == math.ceil(p / W)
+            assert orders.dtype == np.int32 and orders.ndim == 2 and orders.shape[1] == 5
             # orders: distinct (lineage, destination) pairs in ascending
             # order, each of at least one copy, p copies in all
-            pairs = list(zip(routing.lineage.tolist(), routing.destination.tolist()))
+            pairs = list(zip(orders[:, 0].tolist(), orders[:, 2].tolist()))
             assert pairs == sorted(set(pairs))
-            assert routing.copies.min() >= 1 and int(routing.copies.sum()) == p
+            assert orders[:, 4].min() >= 1 and int(orders[:, 4].sum()) == p
             assert np.array_equal(new_id, np.arange(p))
-            loads = _loads(routing, W)
-            assert len(loads) == W and max(loads) <= routing.W_max
+            loads = _loads(orders, W)
+            assert len(loads) == W and max(loads) <= math.ceil(p / W)
             assert np.array_equal(source, workers[lineage])
             assert np.array_equal(np.bincount(lineage, minlength=p), counts)
-            move, copy = traffic_metrics(routing)
+            move, copy = traffic_metrics(orders)
             assert 0.0 <= move <= 1.0 and 0.0 <= copy <= 1.0
 
     def test_identity_battery_on_balanced_layouts(self):
@@ -196,11 +168,11 @@ class TestRandomBattery:
         for _ in range(100):
             p = int(rng.integers(1, 65))
             W = int(rng.integers(1, 17))
-            routing = compute_routing([1] * p, _balanced(p, W), W)
-            lineage, source, destination, _ = _replicas(routing).T
+            orders = compute_routing([1] * p, _balanced(p, W), W)
+            lineage, source, destination, _ = _replicas(orders).T
             assert np.array_equal(destination, source)
             assert np.array_equal(lineage, np.arange(p))
-            assert traffic_metrics(routing) == (0.0, 0.0)
+            assert traffic_metrics(orders) == (0.0, 0.0)
 
 
 def _sequential_reference(counts, source_of, W):
@@ -252,8 +224,8 @@ class TestArrayPlacement:
             else:
                 counts = rng.multinomial(p, rng.dirichlet(np.full(p, rng.choice([0.1, 1.0, 10.0]))))
             expected = _sequential_reference(counts, source_of, W)
-            routing = compute_routing(counts, workers, W)
-            assert [tuple(e) for e in _replicas(routing).tolist()] == expected
+            orders = compute_routing(counts, workers, W)
+            assert [tuple(e) for e in _replicas(orders).tolist()] == expected
 
     def test_array_locations_validated(self):
         with pytest.raises(ValidationError):
@@ -264,9 +236,10 @@ class TestArrayPlacement:
             compute_routing([1, 1], np.array([0.0, 1.0]), 2)   # not integers
 
     def test_slices_partition_by_worker(self):
-        routing = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
-        full = routing.slice_table()
+        full = compute_routing([8, 0, 0, 0, 0, 0, 0, 0], _balanced(8, 4), 4)
         for w in range(4):
-            table = routing.slice_table(w)
+            table = worker_slice(full, w)
             assert table.shape[1] == 5 and table.dtype == np.int32
             assert np.array_equal(table, full[(full[:, 1] == w) | (full[:, 2] == w)])
+        covered = np.unique(np.concatenate([worker_slice(full, w) for w in range(4)]), axis=0)
+        assert np.array_equal(covered, full)

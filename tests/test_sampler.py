@@ -279,11 +279,11 @@ class TestRunChain:
         assert _live() == before
 
     def test_filter_evaluator_matches_direct_run(self):
-        from pmcmc.executor import run_particle_filter
+        from pmcmc.executor import FilterSession, run_particle_filter
 
         obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4), seed=3)
-        evaluator = make_filter_evaluator(LinearGaussianModel, obs, 8, 2, chain_index=5)
-        evaluation = evaluator(Parameters({"a": 0.6}), 7)
+        with FilterSession(LinearGaussianModel, 8, 2, chain_index=5) as session:
+            evaluation = make_filter_evaluator(session, obs)(Parameters({"a": 0.6}), 7)
         direct = run_particle_filter(LinearGaussianModel, Parameters({"a": 0.6}), obs, 8, 2,
                                      chain_index=5, sample_index=7)
         assert evaluation.log_likelihood == direct.estimate.log_value
