@@ -35,8 +35,6 @@ __all__ = ["main", "cmd_synth", "cmd_run", "cmd_check", "read_observations",
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

@@ -141,7 +141,7 @@ def derive_seeds(
     chain_index: int,
     sample_index: int,
     observation_index: int,
-    lineage_ids,
+    lineage_ids: np.ndarray,
     replica_index: int = MODEL_STREAM,
 ) -> list[int]:
     """Seeds of a block of lineages that share the other four counters.
@@ -149,24 +149,17 @@ def derive_seeds(
     Element i equals ``derive_seed(SeedKey(chain_index, sample_index,
     observation_index, lineage_ids[i], replica_index))`` bit for bit; the
     shared prefix is folded once and the lineage and purpose rounds run
-    as one uint64 array pass. Lineage ids must be integers in [0, 2**64).
+    as one uint64 array pass. ``lineage_ids`` is a 1-D integer array with
+    no negative entry.
     """
     SeedKey(chain_index, sample_index, observation_index, 0, replica_index)   # validates the shared fields
-    invalid = ValidationError("lineage ids must be a 1-D block of integers in [0, 2**64)")
-    if isinstance(lineage_ids, np.ndarray):
-        lineages = lineage_ids
-        if lineages.ndim != 1 or lineages.dtype.kind not in "iu" or (lineages.size and lineages.min() < 0):
-            raise invalid
-    else:
-        # np.asarray would turn Python ints past the int64 range into floats
-        ids = list(lineage_ids)
-        if not all(isinstance(i, (int, np.integer)) and 0 <= i <= _MASK64 for i in ids):
-            raise invalid
-        lineages = np.array(ids, dtype=np.uint64)
-    if lineages.size == 0:
+    if (not isinstance(lineage_ids, np.ndarray) or lineage_ids.ndim != 1 or lineage_ids.dtype.kind not in "iu"
+            or (lineage_ids.size and lineage_ids.min() < 0)):
+        raise ValidationError("lineage ids must be a 1-D integer array with entries in [0, 2**64)")
+    if lineage_ids.size == 0:
         return []
     prefix = _fold(_fold(_fold(0, chain_index), sample_index), observation_index)
-    h = _splitmix64_array(np.uint64(prefix) ^ _splitmix64_array(lineages.astype(np.uint64)))
+    h = _splitmix64_array(np.uint64(prefix) ^ _splitmix64_array(lineage_ids.astype(np.uint64)))
     return _splitmix64_array(h ^ np.uint64(_splitmix64(replica_index))).tolist()
 
 
@@ -281,10 +274,6 @@ class Parameters(Mapping[str, float]):
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self._values
 
     def replace(self, **updates: float) -> "Parameters":
         """New Parameters with the named entries replaced."""

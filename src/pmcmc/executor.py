@@ -193,6 +193,7 @@ class _WorkerRuntime:
         self.master_pid = os.getpid()   # constructed on the master, before any fork
         self.particles: dict[int, Model] = {}
         self.sample_index = 0
+        self.step = "2/command-loop"    # the protocol step an error report names
         self.pending: list[StageTiming] = []
         self.marks: list[tuple] = []
         # retired instances recycled for replicas; loading into a live model
@@ -202,35 +203,34 @@ class _WorkerRuntime:
     # -- command loop ---------------------------------------------------
 
     def run(self) -> None:
-        step = "2/command-loop"
         try:
             while True:
                 # no timeout: the master times out a stuck peer, and
                 # closes the session with an exit command
                 command = self._recv(self.commands, math.inf)
                 if isinstance(command, Broadcast):
-                    step = "2/init"
+                    self.step = "2/init"
                     self._initialize(command)
                 elif isinstance(command, Advance):
                     j = command.observation_index
                     if command.routing is not None:
-                        step = f"10/routing[{j - 1}]"
+                        self.step = f"10/routing[{j - 1}]"
                         self._apply_routing(j - 1, command.routing)
-                    step = f"4/advance[{j}]"
+                    self.step = f"4/advance[{j}]"
                     self._advance(command)
                 elif isinstance(command, ExitCommand):
                     return
                 else:
                     raise ProtocolError(f"unexpected command {type(command).__name__}",
-                                        rank=self.rank, step=step)
+                                        rank=self.rank, step=self.step)
         except _MasterGone:
             # nobody reads the reports any more; do not wait to flush them
             self.reports.abandon()
         except ProtocolError as exc:
             # the master re-raises with rank and step, so send the bare message
-            self.reports.send(ErrorReport(self.rank, exc.step or step, exc.message))
+            self.reports.send(ErrorReport(self.rank, exc.step or self.step, exc.message))
         except Exception as exc:
-            self.reports.send(ErrorReport(self.rank, step, f"{type(exc).__name__}: {exc}"))
+            self.reports.send(ErrorReport(self.rank, self.step, f"{type(exc).__name__}: {exc}"))
         finally:
             # a forked worker exits without waiting on peers that may never
             # read what it sent them, but flushes its reports (no-ops on a thread)
@@ -280,12 +280,13 @@ class _WorkerRuntime:
         if models:
             type(models[0]).run_many(models, command.target_time)
         t1 = perf_counter()
+        self.step = f"5/observe[{j}]"
         weights = []
         for lineage, model in zip(lineages, models):
             value = model.log_observe(command.data)
             if math.isnan(value) or value == math.inf:
                 raise ProtocolError(f"invalid log weight {value!r} from lineage {lineage}",
-                                    rank=self.rank, step=f"5/observe[{j}]")
+                                    rank=self.rank, step=self.step)
             weights.append(float(value))
         t2 = perf_counter()
         self.pending.append(StageTiming("run", self.rank, self.sample_index, j, t1 - t0))

@@ -1,15 +1,15 @@
-"""Runtime diagnostics: stage timings, percentile aggregation, efficiency.
+"""Runtime diagnostics: stage timings and parallel efficiency.
 
 Workers time their own stages on a local monotonic clock and ship the
-records with their reports; the master aggregates after gathering, so no
-cross-thread clock agreement is assumed.
+records with their reports; the master collects them after gathering, so
+no cross-thread clock agreement is assumed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import ValidationError
 
@@ -18,11 +18,8 @@ __all__ = [
     "MASTER_RANK",
     "STAGES",
     "EfficiencyRecord",
-    "StageSummary",
     "StageTiming",
-    "aggregate_timings",
     "compute_efficiency",
-    "percentile_band",
 ]
 
 STAGES = (
@@ -62,16 +59,6 @@ class StageTiming:
 
 
 @dataclass(frozen=True)
-class StageSummary:
-    sample_index: int
-    stage: str
-    mean: float
-    p10: float
-    p90: float
-    count: int
-
-
-@dataclass(frozen=True)
 class EfficiencyRecord:
     sample_index: int
     efficiency: float
@@ -79,39 +66,6 @@ class EfficiencyRecord:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValidationError(f"efficiency must be in [0, 1], got {self.efficiency}")
-
-
-def percentile_band(values: Sequence[float], low: float = 0.1, high: float = 0.9) -> tuple[float, float]:
-    """Symmetric nearest-rank percentile pair.
-
-    The low percentile takes the value at rank ceil(low*N); the high one
-    mirrors it from above at rank N+1-ceil((1-high)*N). A single
-    measurement is its own band, and the band of 1..10 at 10/90 is (1, 10).
-    """
-    if len(values) == 0:
-        raise ValidationError("percentile band of an empty sequence")
-    if not 0.0 < low <= high < 1.0:
-        raise ValidationError(f"percentile levels must satisfy 0 < low <= high < 1, got {low}, {high}")
-    ordered = sorted(values)
-    n = len(ordered)
-    lo_rank = max(math.ceil(low * n), 1)
-    hi_rank = n + 1 - max(math.ceil((1.0 - high) * n), 1)
-    return ordered[lo_rank - 1], ordered[hi_rank - 1]
-
-
-def aggregate_timings(raw: Iterable[StageTiming]) -> list[StageSummary]:
-    """Per (sample, stage) mean and 10-90 percentile band across workers
-    and observation events, sorted by sample then stage name."""
-    groups: dict[tuple[int, str], list[float]] = {}
-    for t in raw:
-        groups.setdefault((t.sample_index, t.stage), []).append(t.duration)
-    if not groups:
-        raise ValidationError("no timings to aggregate")
-    out = []
-    for (sample, stage), durations in sorted(groups.items()):
-        p10, p90 = percentile_band(durations)
-        out.append(StageSummary(sample, stage, sum(durations) / len(durations), p10, p90, len(durations)))
-    return out
 
 
 def compute_efficiency(timings: Iterable[StageTiming], sample_index: int,

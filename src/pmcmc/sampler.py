@@ -194,6 +194,24 @@ def _perturb(theta: Parameters, scales: Mapping[str, float], rng: np.random.Gene
     return theta.replace(**updates)
 
 
+def _evaluate(evaluator: Evaluator, theta: Parameters, sample_index: int) -> Evaluation:
+    """The evaluator's result at ``theta``. A failure or an invalid
+    estimate (NaN or +inf) raises, naming the sample. A -inf estimate is
+    degenerate: it is logged and returned, and the acceptance rule never
+    moves to it and always leaves it."""
+    try:
+        evaluation = evaluator(theta, sample_index)
+    except Exception as exc:
+        raise EngineError(f"likelihood evaluation failed at sample {sample_index}: {exc}") from exc
+    if math.isnan(evaluation.log_likelihood) or evaluation.log_likelihood == math.inf:
+        raise ValidationError(
+            f"evaluator returned invalid log likelihood {evaluation.log_likelihood!r} "
+            f"at sample {sample_index}")
+    if evaluation.log_likelihood == -math.inf:
+        logger.warning("sample %d: degenerate likelihood estimate at %s", sample_index, theta)
+    return evaluation
+
+
 def mh_step(
     current: ChainRecord,
     scales: Mapping[str, float],
@@ -227,19 +245,7 @@ def mh_step(
             current.log_prior, False, proposal,
         )
 
-    try:
-        evaluation = evaluator(proposal, sample_index)
-    except Exception as exc:
-        raise EngineError(f"likelihood evaluation failed at sample {sample_index}: {exc}") from exc
-    if math.isnan(evaluation.log_likelihood) or evaluation.log_likelihood == math.inf:
-        raise ValidationError(
-            f"evaluator returned invalid log likelihood {evaluation.log_likelihood!r} "
-            f"at sample {sample_index}")
-    if evaluation.log_likelihood == -math.inf:
-        logger.warning(
-            "sample %d: degenerate likelihood estimate at proposal %s, rejecting",
-            sample_index, proposal)
-
+    evaluation = _evaluate(evaluator, proposal, sample_index)
     alpha = acceptance_probability(
         current.log_likelihood + current.log_prior,
         evaluation.log_likelihood + log_prior_proposal,
@@ -305,12 +311,7 @@ def run_chain(
     log_prior_initial = settings.prior.log_density(settings.initial)
     if log_prior_initial == -math.inf:
         raise ValidationError(f"initial parameters {settings.initial!r} carry zero prior density")
-    try:
-        evaluation = evaluator(settings.initial, 0)
-    except Exception as exc:
-        raise EngineError(f"likelihood evaluation failed at sample 0: {exc}") from exc
-    if evaluation.log_likelihood == -math.inf:
-        logger.warning("sample 0: degenerate likelihood estimate at the starting point")
+    evaluation = _evaluate(evaluator, settings.initial, 0)
 
     records = [ChainRecord(
         0, settings.initial, evaluation.log_likelihood, evaluation.log_std,

@@ -24,10 +24,6 @@ MODULES = ["pmcmc"] + sorted(info.name for info in pkgutil.walk_packages(pmcmc._
 
 ROOT = Path(pmcmc.__file__).resolve().parents[2]
 
-# Exported without a user until the run report (ROADMAP item 2) decides
-# whether it stays.
-UNUSED_ALLOWED = {"pmcmc.instrumentation.aggregate_timings"}
-
 
 def _loaded_names(paths=None) -> set:
     """Every name or attribute the package (or the given files) reads;
@@ -66,8 +62,7 @@ def test_every_public_callable_is_used():
                 continue
             if attr in loaded or re.search(rf"\b{re.escape(attr)}\b", text):
                 continue
-            if f"{name}.{attr}" not in UNUSED_ALLOWED:
-                unused.append(f"{name}.{attr}")
+            unused.append(f"{name}.{attr}")
     assert not unused, f"public names nothing uses: {unused}"
 
 

@@ -347,7 +347,7 @@ def _tamper_routing(monkeypatch, slices):
 _MODEL_FAULTS = [
     ("init", 0, 0, "2/init"),
     ("run", 3, 1, "4/advance[1]"),
-    ("log_observe", 0, 0, "4/advance[1]"),
+    ("log_observe", 0, 0, "5/observe[1]"),
     ("nan", 3, 1, "5/observe[1]"),
     ("inf", 0, 0, "5/observe[1]"),
     ("kill", 3, 1, "5/gather[1]"),

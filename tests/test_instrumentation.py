@@ -1,4 +1,4 @@
-"""Stage timing records, percentile bands, parallel efficiency."""
+"""Stage timing records, parallel efficiency."""
 
 import pytest
 
@@ -9,39 +9,8 @@ from pmcmc.instrumentation import (
     STAGES,
     EfficiencyRecord,
     StageTiming,
-    aggregate_timings,
     compute_efficiency,
-    percentile_band,
 )
-
-
-class TestPercentileBand:
-    def test_ten_values(self):
-        # nearest-rank at 10/90 keeps the extremes of 1..10
-        assert percentile_band([float(v) for v in range(1, 11)]) == (1.0, 10.0)
-
-    def test_single_value_is_its_own_band(self):
-        assert percentile_band([3.5]) == (3.5, 3.5)
-
-    def test_order_independent(self):
-        assert percentile_band([9.0, 1.0, 5.0]) == percentile_band([1.0, 5.0, 9.0])
-
-    def test_band_nested_in_range(self):
-        values = [float(v) for v in range(100, 0, -1)]
-        lo, hi = percentile_band(values)
-        assert min(values) <= lo <= hi <= max(values)
-        assert (lo, hi) == (10.0, 91.0)
-
-    def test_median_band(self):
-        assert percentile_band([1.0, 2.0, 3.0], 0.5, 0.5) == (2.0, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            percentile_band([])
-        with pytest.raises(ValidationError):
-            percentile_band([1.0], 0.9, 0.1)
-        with pytest.raises(ValidationError):
-            percentile_band([1.0], 0.0, 0.9)
 
 
 class TestStageTiming:
@@ -61,33 +30,6 @@ class TestStageTiming:
         # coordinator-side records are distinguishable from any worker's
         assert MASTER_RANK < 0
         StageTiming("resample", MASTER_RANK, 0, 1, 0.0)
-
-
-class TestAggregateTimings:
-    def test_groups_by_sample_and_stage(self):
-        raw = [
-            StageTiming("run", 0, 1, 1, 1.0),
-            StageTiming("run", 1, 1, 1, 3.0),
-            StageTiming("run", 0, 2, 1, 10.0),
-            StageTiming("observe", 0, 1, 1, 0.5),
-        ]
-        summaries = aggregate_timings(raw)
-        keyed = {(s.sample_index, s.stage): s for s in summaries}
-        assert set(keyed) == {(1, "run"), (1, "observe"), (2, "run")}
-        assert keyed[(1, "run")].mean == pytest.approx(2.0)
-        assert keyed[(1, "run")].count == 2
-        assert keyed[(1, "run")].p10 == 1.0 and keyed[(1, "run")].p90 == 3.0
-        assert keyed[(2, "run")].mean == 10.0
-
-    def test_sorted_output(self):
-        raw = [StageTiming("run", 0, 2, 1, 1.0), StageTiming("init", 0, 1, 0, 1.0)]
-        summaries = aggregate_timings(raw)
-        keys = [(s.sample_index, s.stage) for s in summaries]
-        assert keys == sorted(keys)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_timings([])
 
 
 class TestEfficiency:

@@ -213,6 +213,13 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             run_chain(settings, None, None, evaluator=_fixed_evaluator(0.0))
 
+    def test_invalid_starting_estimate_rejected(self):
+        # the starting point is checked as every proposal is
+        settings = SamplerSettings(Parameters({"a": 0.5}), 3, {"a": 0.1}, _WIDE, 4, 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="at sample 0"):
+                run_chain(settings, None, None, evaluator=_fixed_evaluator(bad))
+
     def test_needs_model_or_evaluator(self):
         settings = SamplerSettings(Parameters({"a": 0.0}), 2, {"a": 0.1}, _WIDE, 4, 1)
         with pytest.raises(ValidationError):
