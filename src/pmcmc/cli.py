@@ -168,7 +168,7 @@ def cmd_run(config: EngineConfig) -> int:
         initial=config.initial,
         samples=config.samples,
         scales=config.proposal_scales,
-        prior=config.make_prior(),
+        prior=config.prior,
         ensemble_size=config.particles,
         workers=config.workers,
     )
@@ -238,7 +238,7 @@ def _check_routing_battery(seed: int, fault: bool) -> tuple[bool, str]:
 def _check_worker_invariance(seed: int, fault: bool) -> tuple[bool, str]:
     from .models.linear_gaussian import LinearGaussianModel
     times = tuple(range(1, 6))
-    observations = synthesize_linear_gaussian(Parameters({}), times, seed + 1)
+    observations = synthesize_linear_gaussian(Parameters({}), times, (seed + 1) % 2**64)
     outcomes = []
     for workers in (1, 2, 4):
         result = run_particle_filter(LinearGaussianModel, Parameters({}), observations,

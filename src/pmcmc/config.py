@@ -77,7 +77,7 @@ class Schedule:
 class EngineConfig:
     model_name: str
     model_config: Mapping[str, Any]
-    prior_spec: Mapping[str, Mapping[str, Any]]
+    prior: Prior
     initial: Parameters
     proposal_scales: Mapping[str, float]
     schedule: Schedule
@@ -102,15 +102,9 @@ class EngineConfig:
                 raise ValidationError(f"proposal_scales names unknown parameter {name!r}")
             if scale < 0:
                 raise ValidationError(f"proposal_scales.{name} must be >= 0, got {scale!r}")
-        for name in self.prior_spec:
+        for name in self.prior.names:
             if name not in self.initial:
                 raise ValidationError(f"prior names unknown parameter {name!r}")
-
-    def make_prior(self) -> Prior:
-        marginals = {}
-        for name, spec in self.prior_spec.items():
-            marginals[name] = _build_marginal(name, spec)
-        return Prior(marginals)
 
 
 def _build_marginal(name: str, spec: Mapping[str, Any]):
@@ -199,7 +193,7 @@ def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None)
     config = EngineConfig(
         model_name=str(model["name"]),
         model_config=model_config,
-        prior_spec={str(k): dict(v) if isinstance(v, Mapping) else v for k, v in prior_raw.items()},
+        prior=Prior({str(k): _build_marginal(str(k), v) for k, v in prior_raw.items()}),
         initial=initial,
         proposal_scales=scales,
         schedule=schedule,
@@ -210,8 +204,7 @@ def config_from_mapping(raw: Mapping[str, Any], *, base_dir: Path | None = None)
         observations_path=observations_path,
         output_dir=_resolve(base, str(raw.get("output_dir", "."))),
     )
-    config.make_prior()     # fail early on a bad prior spec or model section
-    build_model(config.model_name, config.model_config)
+    build_model(config.model_name, config.model_config)     # fail early on a bad model section
     return config
 
 

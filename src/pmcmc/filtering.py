@@ -5,7 +5,9 @@ observation events of the ensemble-mean observation likelihood; its
 spread is summarized by a first-order (delta-method) standard deviation
 of the log estimate. All accumulation happens in log space with max-shift
 normalization so large ensembles with many observation events cannot
-underflow.
+underflow. Only the per-event diagnostics ``per_observation_means`` and
+``per_observation_variances`` are linear: they saturate to inf where the
+value is past float range.
 """
 
 from __future__ import annotations
@@ -101,6 +103,20 @@ class LikelihoodEstimate:
         return len(self.degenerate_observations) > 0
 
 
+def _linear(log_value: float, factor: float = 1.0) -> float:
+    """``factor * exp(log_value)`` for ``factor >= 0``: 0 for a zero factor,
+    inf only where the product itself is past float range."""
+    if factor == 0.0:
+        return 0.0
+    try:
+        return factor * math.exp(log_value)
+    except OverflowError:
+        try:
+            return math.exp(log_value + math.log(factor))
+        except OverflowError:
+            return math.inf
+
+
 def estimate_marginal_from_log(log_weight_matrix) -> LikelihoodEstimate:
     """Estimate from an n x p matrix of per-event particle log likelihoods
     (rows ordered by event, columns by lineage; entries may be -inf for
@@ -129,9 +145,9 @@ def estimate_marginal_from_log(log_weight_matrix) -> LikelihoodEstimate:
         e = np.exp(row - shift)
         mean_e = e.mean()
         log_means[j] = shift + math.log(mean_e)
-        means[j] = math.exp(log_means[j])
+        means[j] = _linear(log_means[j])
         var_e = e.var(ddof=1) if p > 1 else 0.0
-        variances[j] = var_e * math.exp(2.0 * shift)
+        variances[j] = _linear(2.0 * shift, var_e)
         # the shift cancels in the ratio, keeping it finite under underflow
         var_over_sq[j] = var_e / (mean_e * mean_e)
     if degenerate:

@@ -6,7 +6,7 @@ import pickle
 from abc import ABC, abstractmethod
 from typing import Any, Mapping, Sequence
 
-from ..core import Parameters, SerializationError, ValidationError, make_stream, rekey
+from ..core import Parameters, SerializationError, make_stream, rekey
 
 __all__ = ["Model", "decode_state_payload", "encode_state_payload"]
 
@@ -20,7 +20,8 @@ class Model(ABC):
     must replace, never mutate, the objects named in ``_FIELDS``: replicas
     share them. The random stream is the Philox generator ``_rng`` (None
     until ``init``), which only this class saves, restores and rekeys;
-    ``init`` starts it with ``_keyed_stream(seed)``.
+    ``init`` starts it with ``reseed(seed)``, the one entry point that
+    starts or restarts a stream.
 
     An instance is single-threaded and owns its full state, including its
     random stream, so that ``load(save())`` reproduces future behavior
@@ -36,8 +37,8 @@ class Model(ABC):
     it does, every instance must end as its own ``run`` would have left
     it, on the same stream position.
 
-    ``copy_from`` is the in-process replication path: it copies everything
-    but the stream, and the engine always ``reseed``s the copy before its
+    ``copy_from`` is the in-process replication path: it copies the
+    ``_FIELDS`` only, and the engine always ``reseed``s the copy before its
     next ``run``. So after ``a.copy_from(src); a.reseed(s)`` and
     ``b.load(src.save()); b.reseed(s)``, ``a`` and ``b`` must save the same
     bytes and behave identically. State moving between workers still
@@ -93,23 +94,18 @@ class Model(ABC):
         if rng is None:
             self._rng = None
         else:
-            self._keyed_stream(0).bit_generator.state = rng
+            self.reseed(0)
+            self._rng.bit_generator.state = rng
 
-    def _keyed_stream(self, seed: int):
-        """The instance's generator, restarted on the stream keyed by ``seed``.
-        It is built once and rekeyed in place after that: construction costs
-        several times a rekey, and the engine reuses instances across passes."""
+    def reseed(self, seed: int) -> None:
+        """Start or restart the random stream on ``seed``, touching no state.
+        The generator is built once and rekeyed in place after that:
+        construction costs several times a rekey, and the engine reuses
+        instances across passes."""
         if self._rng is None:
             self._rng = make_stream(seed)
         else:
             rekey(self._rng, seed)
-        return self._rng
-
-    def reseed(self, seed: int) -> None:
-        """Replace the random stream without touching the state."""
-        if self._rng is None:
-            raise ValidationError("model not initialized")
-        rekey(self._rng, seed)
 
     def copy_from(self, source: "Model") -> None:
         """Become a replica of ``source``, an instance of the same class.
@@ -122,10 +118,6 @@ class Model(ABC):
         # every later attribute access on it (CPython 3.11)
         for name in self._FIELDS:
             setattr(self, name, getattr(source, name))
-        if source._rng is None:
-            self._rng = None
-        elif self._rng is None:
-            self._rng = make_stream(0)      # a stream for the caller to reseed
 
 
 def encode_state_payload(kind: str, payload: dict) -> bytes:

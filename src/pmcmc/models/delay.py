@@ -19,21 +19,20 @@ __all__ = ["DelayModel"]
 
 class DelayModel(Model):
     _KIND = "delay"
-    _FIELDS = ("_delay_s", "_time", "_ready")
+    _FIELDS = ("_delay_s", "_time")
 
     def __init__(self, delay_ms: float = 5.0):
         if not 0 <= delay_ms < math.inf:
             raise ValidationError(f"delay_ms must be finite and >= 0, got {delay_ms}")
         self._delay_s = float(delay_ms) / 1000.0
         self._time = 0.0
-        self._ready = False
 
     def init(self, parameters: Parameters, seed: int) -> None:
         self._time = 0.0
-        self._ready = True
+        self.reseed(seed)
 
     def run(self, target_time: float) -> None:
-        if not self._ready:
+        if self._rng is None:
             raise ValidationError("model not initialized")
         if target_time < self._time:
             raise ValidationError(f"target time must be >= {self._time}, got {target_time!r}")
@@ -43,7 +42,3 @@ class DelayModel(Model):
 
     def log_observe(self, data: Mapping[str, Any]) -> float:
         return 0.0
-
-    def reseed(self, seed: int) -> None:
-        if not self._ready:
-            raise ValidationError("model not initialized")

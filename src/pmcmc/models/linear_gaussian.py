@@ -71,7 +71,8 @@ class LinearGaussianModel(Model):
         _validate_config(**cfg)
         self._cfg = cfg
         self._time = 0
-        self._x = cfg["m0"] + cfg["s0"] * self._keyed_stream(seed).standard_normal()
+        self.reseed(seed)
+        self._x = cfg["m0"] + cfg["s0"] * self._rng.standard_normal()
 
     def run(self, target_time: float) -> None:
         if self._rng is None:

@@ -458,7 +458,7 @@ class PredatorPreyModel(Model):
     def init(self, parameters: Parameters, seed: int) -> None:
         self._params = _calibrated(self._defaults, parameters)
         self._state = IbmState.initial(self._initial[0], self._initial[1], self._params.maturation_mass)
-        self._keyed_stream(seed)
+        self.reseed(seed)
 
     def _target(self, target_time: float) -> int:
         if self._state is None:

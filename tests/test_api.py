@@ -72,7 +72,7 @@ def test_model_contract_is_closed():
     assert Model.__abstractmethods__ == {"init", "run", "log_observe", "_FIELDS"}
     for cls in (DelayModel, LinearGaussianModel, PredatorPreyModel):
         own = {"save", "load", "copy_from", "reseed"} & set(vars(cls))
-        assert own == ({"reseed"} if cls is DelayModel else set()), cls.__name__
+        assert not own, cls.__name__
 
 
 def test_protocol_is_closed(monkeypatch):

@@ -16,7 +16,7 @@ from pmcmc.cli import (
 )
 from pmcmc.config import Schedule, load_config
 from pmcmc.core import ObservationSeries, Parameters, ValidationError
-from pmcmc.models import LinearGaussianModel, synthesize_linear_gaussian
+from pmcmc.models import LinearGaussianModel, get_model_entry, synthesize_linear_gaussian
 from pmcmc.sampler import (
     Prior,
     SamplerSettings,
@@ -105,8 +105,7 @@ class TestConfigLoading:
         assert config.schedule.times == (2, 4, 6, 8)
         assert config.observations_path == tmp_path / "obs.csv"
         assert config.output_dir == tmp_path / "out"
-        prior = config.make_prior()
-        assert prior.log_density(Parameters({"a": 0.0})) == -math.log(2.0)
+        assert config.prior.log_density(Parameters({"a": 0.0})) == -math.log(2.0)
 
     def test_field_identified_errors(self, tmp_path):
         cases = [
@@ -132,11 +131,34 @@ class TestConfigLoading:
             (_LG_YAML.replace("kind: uniform", "kind: [1]"), "prior.a.kind"),
             (_LG_YAML.replace("  a: 0.6", "  a: true"), "initial.a"),
             (_LG_YAML.replace("  a: 0.3", "  a: true"), "proposal_scales.a"),
+            ("- 1\n", "config root"),
+            (_LG_YAML.replace("  name: linear_gaussian", "  q: 1.0"), "config.model"),
+            (_LG_YAML.replace("  name: linear_gaussian", "  name: ''"), "model.name"),
+            (_DESK_YAML.replace("profile: desk", "profile: huge"), "model.profile"),
+            (_LG_YAML.replace("{kind: uniform, lower: -1.0, upper: 1.0}", "3"), "prior.a"),
+            (_LG_YAML.replace("kind: uniform, ", ""), "prior.a"),
+            (_DESK_YAML.replace("mu: 3.2, sigma: 0.5", "mu: 3.2"), "prior.K_prey (lognormal) is missing key 'sigma'"),
+            (_LG_YAML.replace("upper: 1.0}", "upper: 1.0, scale: 2}"), "prior.a has unexpected keys ['scale']"),
+            (_DESK_YAML.replace("mu: 3.2", "mu: .nan"), "prior.K_prey.mu"),
+            (_LG_YAML.replace("prior:\n  a: {kind: uniform, lower: -1.0, upper: 1.0}", "prior: {}"), "config.prior"),
+            (_LG_YAML.replace("initial:\n  a: 0.6", "initial: {}"), "initial"),
+            (_LG_YAML.replace("schedule:\n  init_steps: 2\n  observations: 4\n  spacing: 2", "schedule: [1]"),
+             "config.schedule"),
+            (_LG_YAML.replace("  spacing: 2", "  spacing: 2\n  offset: 1"), "schedule has unexpected keys ['offset']"),
+            (_DESK_YAML.replace("  profile: desk", "  profile: desk\n  encounter_rate: true"),
+             "model.encounter_rate"),
         ]
         for text, needle in cases:
             with pytest.raises(ValidationError) as info:
                 load_config(_write_config(tmp_path, text, "broken.yaml"))
             assert needle in str(info.value), f"{needle!r} not named in: {info.value}"
+
+    def test_rate_override_reaches_the_model(self, tmp_path):
+        text = _DESK_YAML.replace("  profile: desk", "  profile: desk\n  encounter_rate: 0.005")
+        config = load_config(_write_config(tmp_path, text))
+        model = get_model_entry(config.model_name).factory(config.model_config)
+        model.init(config.initial, 1)
+        assert model._params.encounter_rate == 0.005
 
     def test_prior_over_unknown_parameter_rejected(self, tmp_path):
         text = _LG_YAML.replace("  a: {kind: uniform, lower: -1.0, upper: 1.0}",
@@ -274,6 +296,12 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(config)]) == 2
         assert "observations_path" in capsys.readouterr().err
 
+    def test_model_without_synthesizer_fails_cleanly(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _LG_YAML.replace("name: linear_gaussian", "name: delay"))
+        assert main(["synth", "--config", str(config)]) == 2
+        assert "model 'delay' does not support synthesis" in capsys.readouterr().err
+        assert not (tmp_path / "obs.csv").exists()
+
 
 class TestRunCommand:
     def test_run_writes_results(self, tmp_path, capsys):
@@ -309,6 +337,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 2
         assert "cannot read observations" in capsys.readouterr().err
 
+    def test_requires_observations_path(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _LG_YAML.replace("observations_path: obs.csv\n", ""))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "observations_path is required to run the sampler" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckCommand:
     def test_all_checks_pass(self, capsys):
@@ -337,6 +371,10 @@ class TestCheckCommand:
             monkeypatch.setattr(f"pmcmc.cli.{name}", stub)
         assert main(["check", "--seed", "11"]) == 0
         assert seen == [11, 11, 11]
+
+    def test_top_seed_passes(self, capsys):
+        assert main(["check", "--seed", str(2**64 - 1)]) == 0
+        assert "all 3 checks passed" in capsys.readouterr().out
 
     def test_routing_battery_passes_for_every_seed(self):
         # the battery's random layouts may overfill a worker; only those

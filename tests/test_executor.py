@@ -54,6 +54,14 @@ def _use_resampler(monkeypatch, resampler):
     monkeypatch.setattr(pmcmc.executor, "resample_multinomial", resampler)
 
 
+class _OffsetModel(LinearGaussianModel):
+    """Linear-Gaussian model whose log density is 400 nats higher: a valid
+    log likelihood whose exponential is past float range when squared."""
+
+    def log_observe(self, data):
+        return super().log_observe(data) + 400.0
+
+
 class _SlowSaveModel(LinearGaussianModel):
     """Linear-Gaussian model whose ``save`` takes 50 ms, so every state
     sent between workers lands 50 ms after its sender began serializing."""
@@ -95,6 +103,16 @@ class TestWorkerCountInvariance:
             assert est.log_value == base.log_value
             assert est.log_std == base.log_std
             assert est.per_observation_means == base.per_observation_means
+
+    def test_large_log_densities(self):
+        # the relative weights are those of the plain model, so each event
+        # adds 400 nats to the estimate and nothing else moves
+        base = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 8, 1, chain_index=11).estimate
+        for W in (1, 2):
+            est = run_particle_filter(_OffsetModel, _THETA, _OBS, 8, W, chain_index=11).estimate
+            assert est.log_value == pytest.approx(base.log_value + 4 * 400.0, rel=1e-12)
+            assert est.log_std == pytest.approx(base.log_std, rel=1e-9)
+            assert est.per_observation_variances == (math.inf,) * 4
 
     def test_uneven_partition(self):
         base = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 7, 1).estimate

@@ -156,14 +156,31 @@ class TestMarginalEstimate:
         assert est.per_observation_variances == pytest.approx(tuple(rows.var(axis=1, ddof=1)), rel=1e-12)
 
     def test_shift_robustness_under_extreme_magnitudes(self):
-        # the same relative weights shifted by -1000 nats per event must
-        # move log_value by exactly the shift and keep log_std unchanged
+        # the same relative weights shifted by 1000 nats per event, either
+        # way, must move log_value by exactly the shift and keep log_std
+        # unchanged; the linear diagnostics saturate instead of raising
         base = np.log(np.array([[0.2, 0.4], [0.1, 0.3]]))
         est0 = estimate_marginal_from_log(base)
-        est1 = estimate_marginal_from_log(base - 1000.0)
-        assert est1.log_value == pytest.approx(est0.log_value - 2000.0, rel=1e-12)
-        assert est1.log_std == pytest.approx(est0.log_std, rel=1e-9)
-        assert not est1.degenerate
+        for offset, linear in ((-1000.0, 0.0), (1000.0, math.inf)):
+            est1 = estimate_marginal_from_log(base + offset)
+            assert est1.log_value == pytest.approx(est0.log_value + 2 * offset, rel=1e-12)
+            assert est1.log_std == pytest.approx(est0.log_std, rel=1e-9)
+            assert not est1.degenerate
+            assert est1.per_observation_means == (linear, linear)
+            assert est1.per_observation_variances == (linear, linear)
+
+    def test_linear_diagnostics_saturate_only_past_float_range(self):
+        # exp(2 * 360) is past float range but this event's variance,
+        # e^720 (e^d - 1)^2 / 2, is not; a zero variance stays 0 however
+        # large the shift
+        d = 2.0 ** -20
+        est = estimate_marginal_from_log([[400.0, 401.0], [360.0, 360.0 + d], [800.0, 800.0]])
+        assert est.per_observation_means[0] == pytest.approx(math.exp(400.0) * (1.0 + math.e) / 2, rel=1e-12)
+        assert est.per_observation_variances[0] == math.inf
+        log_variance = 720.0 + 2.0 * math.log(math.expm1(d)) - math.log(2.0)
+        assert est.per_observation_variances[1] == pytest.approx(math.exp(log_variance), rel=1e-8)
+        assert est.per_observation_means[2] == math.inf
+        assert est.per_observation_variances[2] == 0.0
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(5)
