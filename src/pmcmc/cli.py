@@ -81,6 +81,9 @@ def read_observations(path: Path, model_name: str) -> ObservationSeries:
             time = math.nan
         if not math.isfinite(time):
             raise ValidationError(f"{path} line {line_no}, field 'time': not a finite number: {row[0]!r}")
+        if times and time <= times[-1]:
+            raise ValidationError(f"{path} line {line_no}, field 'time': times must be strictly "
+                                  f"increasing, got {row[0]!r} after {times[-1]!r}")
         times.append(time)
         record = {}
         for field, text_value in zip(entry.fields, row[1:]):
@@ -89,6 +92,8 @@ def read_observations(path: Path, model_name: str) -> ObservationSeries:
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path} line {line_no}, field {field!r}: {exc}") from None
         records.append(record)
+    if not records:
+        raise ValidationError(f"{path} line 2: no observation rows after the header")
     return ObservationSeries(times, records)
 
 

@@ -105,6 +105,9 @@ class EngineConfig:
         for name in self.prior.names:
             if name not in self.initial:
                 raise ValidationError(f"prior names unknown parameter {name!r}")
+        for name in self.proposal_scales:
+            if name not in self.prior.names:
+                raise ValidationError(f"proposal_scales.{name} has no prior")
 
 
 def _build_marginal(name: str, spec: Mapping[str, Any]):

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "EngineError",
     "ValidationError",
-    "DegenerateEnsembleError",
     "ProtocolError",
     "SerializationError",
     "Parameters",
@@ -36,10 +35,6 @@ class EngineError(Exception):
 
 class ValidationError(EngineError):
     """An input violated a documented precondition or invariant."""
-
-
-class DegenerateEnsembleError(EngineError):
-    """Every particle weight is zero or non-finite; the ensemble carries no information."""
 
 
 class ProtocolError(EngineError):

@@ -11,9 +11,9 @@ filtering pass over an observation series:
 4.  workers advance their particles to the event time, all of a
     worker's at once through ``Model.run_many``
 5.  workers evaluate observation likelihoods, gathered by the master in
-    lineage order; each report also carries the stage timings and event
-    marks recorded since the previous one, so event 1's gather spans the
-    workers' initialization and its ``timeout`` covers both
+    lineage order; each report also carries the stage timings recorded
+    since the previous one, so event 1's gather spans the workers'
+    initialization and its ``timeout`` covers both
 6.  after the last event, or a degenerate one, the master forms the
     estimate; the workers wait for the next pass's step 1
 7.  the master resamples the ensemble (virtually: counts only)
@@ -82,7 +82,6 @@ from .core import (
 from .filtering import (
     LikelihoodEstimate,
     estimate_marginal_from_log,
-    normalize_weights,
     redraw_rate,
     resample_multinomial,
 )
@@ -142,7 +141,9 @@ class FilterDiagnostics:
 
     Observation indices here are the 1-based event numbers used on the
     wire and in stage timings (0 marks initialization); the estimate
-    object flags 0-based rows of the weight matrix instead.
+    object flags 0-based rows of the weight matrix instead. How far local
+    placement (step 10(c)) covered the transfers in flight shows in the
+    workers' ``transfer-wait`` timings: the wait that remained.
     """
 
     workers: int
@@ -152,7 +153,6 @@ class FilterDiagnostics:
     move_fractions: tuple
     copy_fractions: tuple
     timings: tuple                  # StageTiming records, master rank -1
-    marks: tuple                    # (worker, name, observation_index, timestamp)
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,6 @@ class _WorkerRuntime:
         self.sample_index = 0
         self.step = "2/command-loop"    # the protocol step an error report names
         self.pending: list[StageTiming] = []
-        self.marks: list[tuple] = []
         # retired instances recycled for replicas; loading into a live model
         # skips generator construction, the dominant replication cost
         self._pool: list[Model] = []
@@ -293,8 +292,8 @@ class _WorkerRuntime:
         self.pending.append(StageTiming("observe", self.rank, self.sample_index, j, t2 - t1))
         self.reports.send(WorkerReport(self.rank, j, np.array(lineages, dtype=np.int32),
                                        np.array(weights, dtype=np.float64),
-                                       tuple(self.pending), tuple(self.marks)))
-        self.pending, self.marks = [], []
+                                       tuple(self.pending)))
+        self.pending = []
 
     def _place(self, model: Model, first: int, copies: int) -> None:
         """Steps 10(c) and 10(d) for one order: the parent takes new id ``first``, and
@@ -329,7 +328,6 @@ class _WorkerRuntime:
                 self.peers[destination].send(ParticleTransfer(lineage, parents[lineage].save(), rank))
 
         # 10(c): place local survivors while any transfers are in flight
-        self.marks.append((rank, "replicate-start", j, monotonic()))
         t0 = perf_counter()
         for lineage, source, destination, first, copies in orders:
             if source == destination:
@@ -356,7 +354,6 @@ class _WorkerRuntime:
                 raise ProtocolError(f"unsolicited transfer of lineage {transfer.lineage_id} "
                                     f"from worker {transfer.source}",
                                     rank=rank, step=f"10(d)/receive[{j}]")
-            self.marks.append((rank, "receive-complete", j, monotonic()))
             t0 = perf_counter()
             received = self._replica()
             received.load(transfer.state)
@@ -536,7 +533,6 @@ class FilterSession:
         n = len(observations)
         p, workers, chain_index = self.ensemble_size, self.workers, self.chain_index
         timings: list[StageTiming] = []
-        marks: list[tuple] = []
         rows: list[np.ndarray] = []
         resample_counts: list[tuple] = []
         redraw_rates: list[float] = []
@@ -565,7 +561,6 @@ class FilterSession:
                             f"report for event {report.observation_index} while gathering event {j}",
                             rank=report.worker, step=f"5/gather[{j}]")
                     timings.extend(report.timings)
-                    marks.extend(report.marks)
                     gathered_ids.append(report.lineage_ids)
                     gathered_weights.append(report.log_weights)
                 timings.append(StageTiming("likelihood-gather", MASTER_RANK, sample_index, j,
@@ -584,7 +579,8 @@ class FilterSession:
 
                 # step 7: virtual resampling on the master
                 t0 = perf_counter()
-                probs = normalize_weights(np.exp(row - shift))
+                weights = np.exp(row - shift)
+                probs = weights / weights.sum()
                 seed = derive_seed(SeedKey(chain_index, sample_index, j, 0, RESAMPLE_STREAM))
                 if worker_dependent_seed_fault:
                     seed ^= workers
@@ -620,7 +616,6 @@ class FilterSession:
             move_fractions=tuple(move_fractions),
             copy_fractions=tuple(copy_fractions),
             timings=tuple(timings),
-            marks=tuple(sorted(marks, key=lambda m: m[3])),
         )
         return FilterResult(estimate=estimate, diagnostics=diagnostics)
 

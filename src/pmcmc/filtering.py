@@ -1,4 +1,4 @@
-"""Ensemble weight handling and the marginal-likelihood estimator.
+"""Ensemble resampling and the marginal-likelihood estimator.
 
 The estimate of the data's marginal likelihood is the product over
 observation events of the ensemble-mean observation likelihood; its
@@ -18,34 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DegenerateEnsembleError, ValidationError, make_stream
+from .core import ValidationError, make_stream
 
 __all__ = [
     "LikelihoodEstimate",
     "estimate_marginal_from_log",
-    "normalize_weights",
     "redraw_rate",
     "resample_multinomial",
 ]
-
-
-def normalize_weights(weights: Sequence[float]) -> np.ndarray:
-    """Scale nonnegative weights to probabilities summing to 1.
-
-    Any non-finite weight, a negative weight, or an all-zero vector marks
-    the ensemble as degenerate.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("weights must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise DegenerateEnsembleError("non-finite weight in ensemble")
-    if np.any(w < 0.0):
-        raise DegenerateEnsembleError("negative weight in ensemble")
-    total = w.sum()
-    if total <= 0.0:
-        raise DegenerateEnsembleError("all weights are zero")
-    return w / total
 
 
 def resample_multinomial(probs: Sequence[float], p: int, seed: int) -> np.ndarray:
@@ -97,10 +77,6 @@ class LikelihoodEstimate:
     per_observation_means: tuple = field(repr=False)
     per_observation_variances: tuple = field(repr=False)
     degenerate_observations: tuple = ()
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.degenerate_observations) > 0
 
 
 def _linear(log_value: float, factor: float = 1.0) -> float:

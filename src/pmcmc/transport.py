@@ -63,15 +63,14 @@ class ExitCommand:
 @dataclass(frozen=True)
 class WorkerReport:
     """Step 5: per-particle log observation likelihoods plus the stage
-    timings and event marks (worker, name, observation_index, timestamp)
-    recorded since the previous report; the first carries initialization's."""
+    timings recorded since the previous report; the first carries
+    initialization's."""
 
     worker: int
     observation_index: int
     lineage_ids: np.ndarray   # int32, ascending
     log_weights: np.ndarray   # float64, one per lineage id
     timings: tuple
-    marks: tuple
 
 
 @dataclass(frozen=True)

@@ -108,3 +108,14 @@ def test_protocol_is_closed(monkeypatch):
         run_particle_filter(lambda: _FaultyModel("run", 3), _THETA, _OBS, 4, 2)
     unread = sorted(fields - read)
     assert not unread, f"message fields the executor never reads: {unread}"
+
+
+def test_every_diagnostics_field_has_a_reader():
+    """Each ``FilterDiagnostics`` field is read by the CLI, the sampler or
+    the benchmark: a channel the pass records and nothing reads fails here."""
+    readers = [ROOT / "src" / "pmcmc" / "cli.py", ROOT / "src" / "pmcmc" / "sampler.py",
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    loaded = _loaded_names(readers)
+    unread = [field.name for field in dataclasses.fields(pmcmc.executor.FilterDiagnostics)
+              if field.name not in loaded]
+    assert not unread, f"diagnostics fields nothing reads: {unread}"

@@ -123,6 +123,8 @@ class TestConfigLoading:
              "model.initial_prey"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: linear_gaussian\n  q: big"), "model.q"),
             (_LG_YAML.replace("  a: 0.3", "  a: -0.1"), "proposal_scales.a"),
+            (_LG_YAML.replace("  a: 0.6", "  a: 0.6\n  q: 0.2").replace("  a: 0.3", "  a: 0.3\n  q: 0.5"),
+             "proposal_scales.q has no prior"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .nan"), "delay_ms"),
             (_LG_YAML.replace("  name: linear_gaussian", "  name: delay\n  delay_ms: .inf"), "delay_ms"),
             (_LG_YAML.replace("lower: -1.0", "lower: abc"), "prior.a.lower"),
@@ -210,6 +212,21 @@ class TestObservationIO:
         path.write_text("")
         with pytest.raises(ValidationError, match="empty"):
             read_observations(path, "predator_prey")
+
+    def test_header_only_file_names_the_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,prey,predator\n")
+        with pytest.raises(ValidationError) as info:
+            read_observations(path, "predator_prey")
+        assert f"{path} line 2:" in str(info.value)
+
+    def test_decreasing_time_names_the_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,prey,predator\n1,5,2\n3,5,2\n2,5,2\n")
+        with pytest.raises(ValidationError) as info:
+            read_observations(path, "predator_prey")
+        assert f"{path} line 4, field 'time'" in str(info.value)
+        assert "strictly increasing" in str(info.value)
 
     def test_non_finite_time_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"

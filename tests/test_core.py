@@ -11,7 +11,6 @@ from pmcmc.core import (
     PROPOSAL_STREAM,
     RESAMPLE_STREAM,
     SYNTH_STREAM,
-    DegenerateEnsembleError,
     EngineError,
     ObservationSeries,
     Parameters,
@@ -242,7 +241,7 @@ class TestObservationSeries:
 
 class TestErrors:
     def test_hierarchy(self):
-        for cls in (ValidationError, DegenerateEnsembleError, ProtocolError, SerializationError):
+        for cls in (ValidationError, ProtocolError, SerializationError):
             assert issubclass(cls, EngineError)
 
     def test_protocol_error_context(self):

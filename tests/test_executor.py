@@ -62,15 +62,6 @@ class _OffsetModel(LinearGaussianModel):
         return super().log_observe(data) + 400.0
 
 
-class _SlowSaveModel(LinearGaussianModel):
-    """Linear-Gaussian model whose ``save`` takes 50 ms, so every state
-    sent between workers lands 50 ms after its sender began serializing."""
-
-    def save(self):
-        time.sleep(0.05)
-        return super().save()
-
-
 def _slice(*rows):
     """A routing slice as the master sends it: int32 placement orders
     (lineage, source, destination, first new id, copies)."""
@@ -115,9 +106,12 @@ class TestWorkerCountInvariance:
             assert est.per_observation_variances == (math.inf,) * 4
 
     def test_uneven_partition(self):
-        base = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 7, 1).estimate
-        est = run_particle_filter(LinearGaussianModel, _THETA, _OBS, 7, 3).estimate
-        assert est.log_value == base.log_value
+        # with W > p some workers hold nothing from initialization on
+        for p, W in ((7, 3), (2, 3), (1, 2)):
+            base = run_particle_filter(LinearGaussianModel, _THETA, _OBS, p, 1)
+            other = run_particle_filter(LinearGaussianModel, _THETA, _OBS, p, W)
+            assert other.estimate == base.estimate, (p, W)
+            assert other.diagnostics.resample_counts == base.diagnostics.resample_counts, (p, W)
 
     def test_individual_based_model(self):
         obs = ibm_synthesize(DESK_DEFAULTS, (2, 4), 5, 100, 10)
@@ -171,18 +165,16 @@ class TestRoutingThroughTheRuntime:
         assert d.copy_fractions == (0.5, 0.5, 0.5)
         assert result.estimate.log_value < 0.0
 
-    def test_replication_overlaps_transfer_delay(self, monkeypatch):
-        """When the sender takes 50 ms to serialize a state, the receiving
-        worker must start local replication before the state lands."""
-        _use_resampler(monkeypatch, _point_mass_resampler)
-        result = run_particle_filter(_SlowSaveModel, _THETA, _OBS, 4, 2)
-        marks = result.diagnostics.marks
-        assert marks == tuple(sorted(marks, key=lambda m: m[3]))
-        starts = {(w, j): ts for w, name, j, ts in marks if name == "replicate-start"}
-        completions = [(w, j, ts) for w, name, j, ts in marks if name == "receive-complete"]
-        assert len(completions) == 3
-        for w, j, ts in completions:
-            assert ts - starts[(w, j)] > 0.03
+    def test_replication_overlaps_transfer_delay(self):
+        """Step 10(c) places kept lineages while transfers are in flight:
+        the kept one is already placed when the wait for an inbound state
+        that never comes runs out."""
+        rt = _runtime(1, 8, 4)                  # resident lineages 2, 3
+        kept = rt.particles[2]
+        with pytest.raises(ProtocolError) as info:
+            rt._apply_routing(1, _slice((0, 0, 1, 2, 1), (2, 1, 1, 3, 1)))
+        assert info.value.step == "10(d)/receive[1]"
+        assert rt.particles == {3: kept}
 
 
 class TestDiagnostics:

@@ -1,4 +1,4 @@
-"""Weight normalization, replica-count resampling, marginal estimator."""
+"""Replica-count resampling and the marginal estimator."""
 
 import math
 
@@ -7,50 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcmc.core import DegenerateEnsembleError, ValidationError
+from pmcmc.core import ValidationError
 from pmcmc.filtering import (
     estimate_marginal_from_log,
-    normalize_weights,
     redraw_rate,
     resample_multinomial,
 )
-
-
-class TestNormalizeWeights:
-    def test_uniform(self):
-        assert normalize_weights([1.0, 1.0, 1.0, 1.0]).tolist() == [0.25, 0.25, 0.25, 0.25]
-
-    def test_mixed_zeros(self):
-        assert normalize_weights([0.0, 2.0, 0.0, 6.0]).tolist() == [0.0, 0.25, 0.0, 0.75]
-
-    def test_all_zero_degenerate(self):
-        with pytest.raises(DegenerateEnsembleError):
-            normalize_weights([0.0, 0.0, 0.0])
-
-    def test_negative_and_nonfinite_degenerate(self):
-        with pytest.raises(DegenerateEnsembleError):
-            normalize_weights([1.0, -0.5])
-        with pytest.raises(DegenerateEnsembleError):
-            normalize_weights([1.0, math.inf])
-        with pytest.raises(DegenerateEnsembleError):
-            normalize_weights([1.0, math.nan])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            normalize_weights([])
-        with pytest.raises(ValidationError):
-            normalize_weights([[1.0, 2.0]])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50)
-           .filter(lambda ws: sum(ws) > 0))
-    @settings(max_examples=200, deadline=None)
-    def test_sums_to_one_and_preserves_ratios(self, ws):
-        q = normalize_weights(ws)
-        assert q.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(q >= 0)
-        i = int(np.argmax(ws))
-        for j, w in enumerate(ws):
-            assert q[j] * ws[i] == pytest.approx(q[i] * w, rel=1e-9, abs=1e-12)
 
 
 class TestMultinomialResampling:
@@ -165,7 +127,7 @@ class TestMarginalEstimate:
             est1 = estimate_marginal_from_log(base + offset)
             assert est1.log_value == pytest.approx(est0.log_value + 2 * offset, rel=1e-12)
             assert est1.log_std == pytest.approx(est0.log_std, rel=1e-9)
-            assert not est1.degenerate
+            assert est1.degenerate_observations == ()
             assert est1.per_observation_means == (linear, linear)
             assert est1.per_observation_variances == (linear, linear)
 
@@ -197,7 +159,6 @@ class TestMarginalEstimate:
 
     def test_degenerate_row_flagged(self):
         est = estimate_marginal_from_log(_log([[0.5, 0.5], [0.0, 0.0], [0.1, 0.1], [0.0, 0.0]]))
-        assert est.degenerate
         assert est.degenerate_observations == (1, 3)
         assert est.log_value == -math.inf
         assert math.isnan(est.log_std)
@@ -206,7 +167,7 @@ class TestMarginalEstimate:
     def test_neg_inf_entries_allowed_when_row_survives(self):
         est = estimate_marginal_from_log([[math.log(0.5), -math.inf]])
         assert est.log_value == pytest.approx(math.log(0.25), rel=1e-12)
-        assert not est.degenerate
+        assert est.degenerate_observations == ()
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValidationError):
