@@ -24,11 +24,11 @@ import numpy as np
 
 from .config import EngineConfig, load_config
 from .core import EngineError, ObservationSeries, Parameters, ValidationError, make_stream
-from .executor import run_particle_filter, worker_lineages
+from .executor import FilterSession, run_particle_filter, worker_lineages
 from .models import get_model_entry, kalman_log_marginal
 from .models.linear_gaussian import synthesize_linear_gaussian
 from .routing import compute_routing
-from .sampler import ChainRecord, SamplerSettings, run_chain
+from .sampler import ChainRecord, make_filter_evaluator, run_chain
 
 __all__ = ["main", "cmd_synth", "cmd_run", "cmd_check", "read_observations",
            "write_chain_csv", "write_diagnostics_csv"]
@@ -169,17 +169,11 @@ def cmd_run(config: EngineConfig) -> int:
         raise ValidationError("observations_path is required to run the sampler")
     entry = get_model_entry(config.model_name)
     observations = read_observations(config.observations_path, config.model_name)
-    settings = SamplerSettings(
-        initial=config.initial,
-        samples=config.samples,
-        scales=config.proposal_scales,
-        prior=config.prior,
-        ensemble_size=config.particles,
-        workers=config.workers,
-    )
     config.output_dir.mkdir(parents=True, exist_ok=True)      # fail before the chain, not after
-    records = run_chain(settings, lambda: entry.factory(config.model_config),
-                        observations, chain_index=config.seed)
+    with FilterSession(lambda: entry.factory(config.model_config), config.particles, config.workers,
+                       chain_index=config.seed) as session:
+        records = run_chain(config.settings, make_filter_evaluator(session, observations),
+                            chain_index=config.seed)
     chain_path = config.output_dir / "chain.csv"
     diagnostics_path = config.output_dir / "diagnostics.csv"
     write_chain_csv(records, chain_path)

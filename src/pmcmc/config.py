@@ -34,7 +34,7 @@ values before anything runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -42,7 +42,7 @@ import yaml
 
 from .core import Parameters, ValidationError
 from .models import build_model
-from .sampler import LogNormalPrior, Prior, UniformPrior
+from .sampler import LogNormalPrior, Prior, SamplerSettings, UniformPrior
 
 __all__ = ["CONFIG_VERSION", "EngineConfig", "Schedule", "load_config", "config_from_mapping"]
 
@@ -88,26 +88,19 @@ class EngineConfig:
     observations_path: Path | None
     output_dir: Path
 
+    settings: SamplerSettings = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if not self.model_name:
             raise ValidationError("model.name is required")
-        for name, value in (("samples", self.samples), ("particles", self.particles),
-                            ("workers", self.workers)):
+        for name, value in (("particles", self.particles), ("workers", self.workers)):
             if not isinstance(value, int) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        for name, scale in self.proposal_scales.items():
-            if name not in self.initial:
-                raise ValidationError(f"proposal_scales names unknown parameter {name!r}")
-            if scale < 0:
-                raise ValidationError(f"proposal_scales.{name} must be >= 0, got {scale!r}")
-        for name in self.prior.names:
-            if name not in self.initial:
-                raise ValidationError(f"prior names unknown parameter {name!r}")
-        for name in self.proposal_scales:
-            if name not in self.prior.names:
-                raise ValidationError(f"proposal_scales.{name} has no prior")
+        # the chain's own rules are checked once, by its settings
+        object.__setattr__(self, "settings", SamplerSettings(
+            self.initial, self.samples, self.proposal_scales, self.prior))
 
 
 def _build_marginal(name: str, spec: Mapping[str, Any]):

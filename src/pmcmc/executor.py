@@ -38,8 +38,8 @@ workers: weights are gathered by lineage id and replica identities are
 assigned by the deterministic routing, never by arrival order.
 
 A ``FilterSession`` owns the workers, their channels and each worker's
-pool of model instances, and runs any number of passes; a chain keeps one
-for all its samples, and ``run_particle_filter`` without one runs a
+pool of model instances, and runs any number of passes; a chain's caller
+keeps one for all its samples, and ``run_particle_filter`` without one runs a
 one-pass session. A single worker is a thread of the calling process. Two
 or more are processes forked at the session's first pass, so CPU-bound
 models run in parallel rather than taking turns on the interpreter lock;
@@ -48,12 +48,14 @@ Threads and forked processes start the same ``_WorkerRuntime.run`` over
 the same byte channels. A worker waits for its next command without a
 timeout, within a pass and between passes, and checks every
 ``_POLL_INTERVAL`` that its master process is alive: a forked worker whose
-master is gone exits. The master's gather is the only timeout: it fails on
-a worker that stays silent for ``timeout`` seconds or ends without
-reporting. A failed pass (a worker's error report, a timeout or an
-exception on the master) closes the session. On close every worker is told
-to exit, and any still running after ``_STOP_BOUND`` seconds is terminated
-(a thread cannot be, and is left to finish its current command).
+master is gone exits. ``timeout`` bounds each of the master's gathers, which
+fails on a worker that stays silent that long or ends without reporting,
+and a receiving worker waits half of it (``_TRANSFER_SHARE``) for its
+inbound transfers, failing at step ``10(d)/receive[j]``. A failed pass (a
+worker's error report, a timeout or an exception on the master) closes the
+session. On close every worker is told to exit, and any still running after
+``_STOP_BOUND`` seconds is terminated (a thread cannot be, and is left to
+finish its current command).
 """
 
 from __future__ import annotations
@@ -79,12 +81,7 @@ from .core import (
     derive_seed,
     derive_seeds,
 )
-from .filtering import (
-    LikelihoodEstimate,
-    estimate_marginal_from_log,
-    redraw_rate,
-    resample_multinomial,
-)
+from .filtering import LikelihoodEstimate, estimate_marginal_from_log, resample_multinomial
 from .instrumentation import MASTER_RANK, StageTiming
 from .models.base import Model
 from .routing import compute_routing, traffic_metrics, worker_slice
@@ -149,10 +146,14 @@ class FilterDiagnostics:
     workers: int
     wall_time: float
     resample_counts: tuple          # one counts tuple per resampling event
-    redraw_rates: tuple
     move_fractions: tuple
     copy_fractions: tuple
     timings: tuple                  # StageTiming records, master rank -1
+
+    @property
+    def redraw_rates(self) -> tuple:
+        """Per resampling event, the fraction of particles drawn at least once."""
+        return tuple(sum(1 for c in counts if c) / len(counts) for counts in self.resample_counts)
 
 
 @dataclass(frozen=True)
@@ -535,7 +536,6 @@ class FilterSession:
         timings: list[StageTiming] = []
         rows: list[np.ndarray] = []
         resample_counts: list[tuple] = []
-        redraw_rates: list[float] = []
         move_fractions: list[float] = []
         copy_fractions: list[float] = []
 
@@ -588,7 +588,6 @@ class FilterSession:
                 timings.append(StageTiming("resample", MASTER_RANK, sample_index, j,
                                            perf_counter() - t0))
                 resample_counts.append(tuple(np.asarray(counts, dtype=np.int64).tolist()))
-                redraw_rates.append(redraw_rate(counts))
 
                 # step 8: routing
                 t0 = perf_counter()
@@ -612,7 +611,6 @@ class FilterSession:
             workers=workers,
             wall_time=wall_time,
             resample_counts=tuple(resample_counts),
-            redraw_rates=tuple(redraw_rates),
             move_fractions=tuple(move_fractions),
             copy_fractions=tuple(copy_fractions),
             timings=tuple(timings),

@@ -23,7 +23,6 @@ from .core import ValidationError, make_stream
 __all__ = [
     "LikelihoodEstimate",
     "estimate_marginal_from_log",
-    "redraw_rate",
     "resample_multinomial",
 ]
 
@@ -50,16 +49,6 @@ def resample_multinomial(probs: Sequence[float], p: int, seed: int) -> np.ndarra
     cum = np.cumsum(q)
     idx = np.minimum(np.searchsorted(cum, u, side="right"), q.size - 1)
     return np.bincount(idx, minlength=q.size)
-
-
-def redraw_rate(counts: Sequence[int]) -> float:
-    """Fraction of particles surviving a resampling with count >= 1."""
-    c = np.asarray(counts)
-    if c.ndim != 1 or c.size == 0:
-        raise ValidationError("counts must be a nonempty 1-D vector")
-    if np.any(c < 0):
-        raise ValidationError("counts must be >= 0")
-    return float(np.count_nonzero(c) / c.size)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .core import (
     make_stream,
 )
 from .executor import FilterDiagnostics, FilterSession, run_particle_filter
-from .models.base import Model
 
 __all__ = [
     "UniformPrior",
@@ -214,29 +213,20 @@ def _evaluate(evaluator: Evaluator, theta: Parameters, sample_index: int) -> Eva
 
 def mh_step(
     current: ChainRecord,
-    scales: Mapping[str, float],
+    settings: SamplerSettings,
     evaluator: Evaluator,
-    prior: Prior,
     rng: np.random.Generator,
 ) -> ChainRecord:
-    """One Metropolis-Hastings transition from ``current``.
+    """One Metropolis-Hastings transition from ``current`` under the
+    proposal scales and prior of ``settings``.
 
     The record produced for a rejection repeats the current parameters
     and their stored estimate (pseudo-marginal rule) while still keeping
     the attempted proposal for inspection.
     """
-    unknown = set(scales) - set(current.theta.names)
-    if unknown:
-        raise ValidationError(f"proposal scales name unknown parameters: {sorted(unknown)}")
-    if not scales:
-        raise ValidationError("at least one proposal scale is required")
-    for name, scale in scales.items():
-        if not math.isfinite(scale) or scale < 0:
-            raise ValidationError(f"proposal scale for {name!r} must be finite and >= 0, got {scale}")
-
     sample_index = current.sample_index + 1
-    proposal = _perturb(current.theta, scales, rng)
-    log_prior_proposal = prior.log_density(proposal)
+    proposal = _perturb(current.theta, settings.scales, rng)
+    log_prior_proposal = settings.prior.log_density(proposal)
 
     if log_prior_proposal == -math.inf:
         # zero-prior shortcut: no point running the filter
@@ -269,45 +259,44 @@ def mh_step(
 
 @dataclass(frozen=True)
 class SamplerSettings:
-    """Everything the chain driver needs besides the model and the data."""
+    """Everything a chain needs besides its likelihood evaluator: the
+    starting point, the chain length, the random-walk scale of each moving
+    parameter and the prior. Every rule the chain relies on is checked
+    here, once, before any evaluation."""
 
     initial: Parameters
     samples: int
     scales: Mapping[str, float]
     prior: Prior
-    ensemble_size: int
-    workers: int
 
     def __post_init__(self):
+        if not isinstance(self.initial, Parameters):
+            raise ValidationError(f"initial must be a Parameters instance, got {type(self.initial).__name__}")
         if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
-            raise ValidationError(f"sample count must be an integer >= 1, got {self.samples!r}")
+            raise ValidationError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not self.scales:
+            raise ValidationError("at least one proposal scale is required")
+        for name, scale in self.scales.items():
+            if name not in self.initial:
+                raise ValidationError(f"proposal_scales names unknown parameter {name!r}")
+            if not (math.isfinite(scale) and scale >= 0):
+                raise ValidationError(f"proposal_scales.{name} must be finite and >= 0, got {scale!r}")
+        for name in self.prior.names:
+            if name not in self.initial:
+                raise ValidationError(f"prior names unknown parameter {name!r}")
+        for name in self.scales:
+            if name not in self.prior.names:
+                raise ValidationError(f"proposal_scales.{name} has no prior")
 
 
-def run_chain(
-    settings: SamplerSettings,
-    model_factory: Callable[[], Model] | None,
-    observations: ObservationSeries | None,
-    *,
-    chain_index: int = 0,
-    evaluator: Evaluator | None = None,
-) -> list[ChainRecord]:
+def run_chain(settings: SamplerSettings, evaluator: Evaluator, *, chain_index: int = 0) -> list[ChainRecord]:
     """Run the MCMC chain and return every record, initial state included.
 
     The first record evaluates the configured starting parameters; there
-    is no burn-in discard. Passing ``evaluator`` overrides the default
-    particle-filter evaluator (tests substitute an exact one). The default
-    runs every pass of the chain on one ``FilterSession``, so its workers
-    start once.
+    is no burn-in discard. ``evaluator`` is usually the particle filter's
+    (``make_filter_evaluator``), over a session the caller opens and
+    closes; tests substitute an exact one.
     """
-    if evaluator is None:
-        if model_factory is None or observations is None:
-            raise ValidationError("run_chain needs a model factory and observations "
-                                  "unless an evaluator is supplied")
-        with FilterSession(model_factory, settings.ensemble_size, settings.workers,
-                           chain_index=chain_index) as session:
-            evaluator = make_filter_evaluator(session, observations)
-            return run_chain(settings, None, None, chain_index=chain_index, evaluator=evaluator)
-
     log_prior_initial = settings.prior.log_density(settings.initial)
     if log_prior_initial == -math.inf:
         raise ValidationError(f"initial parameters {settings.initial!r} carry zero prior density")
@@ -321,5 +310,5 @@ def run_chain(
     for sample_index in range(1, settings.samples):
         rng = make_stream(derive_seed(
             SeedKey(chain_index, sample_index, 0, 0, PROPOSAL_STREAM)))
-        records.append(mh_step(records[-1], settings.scales, evaluator, settings.prior, rng))
+        records.append(mh_step(records[-1], settings, evaluator, rng))
     return records

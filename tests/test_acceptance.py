@@ -16,7 +16,7 @@ import numpy as np
 from conftest import record_criterion
 from pmcmc.cli import main
 from pmcmc.core import ObservationSeries, Parameters
-from pmcmc.executor import run_particle_filter
+from pmcmc.executor import FilterSession, run_particle_filter
 from pmcmc.filtering import resample_multinomial
 from pmcmc.models import (
     DelayModel,
@@ -32,6 +32,7 @@ from pmcmc.sampler import (
     Prior,
     SamplerSettings,
     UniformPrior,
+    make_filter_evaluator,
     run_chain,
 )
 
@@ -229,10 +230,8 @@ class TestAcceptanceCriteria:
             samples=5000,
             scales={"a": 0.35},
             prior=Prior({"a": UniformPrior(-1.0, 1.0)}),
-            ensemble_size=1,
-            workers=1,
         )
-        records = run_chain(settings, None, None, chain_index=2024, evaluator=exact)
+        records = run_chain(settings, exact, chain_index=2024)
         trace = np.array([record.theta["a"] for record in records])
         batch_means = trace.reshape(50, 100).mean(axis=1)
         stderr = float(batch_means.std(ddof=1) / math.sqrt(len(batch_means)))
@@ -285,12 +284,9 @@ class TestAcceptanceCriteria:
                 "K_prey": LogNormalPrior(3.2, 0.5),
                 "K_pred": LogNormalPrior(2.7, 0.5),
             }),
-            ensemble_size=128,
-            workers=2,
         )
-        records = run_chain(
-            settings, lambda: entry.factory(cfg), observations, chain_index=42,
-        )
+        with FilterSession(lambda: entry.factory(cfg), 128, 2, chain_index=42) as session:
+            records = run_chain(settings, make_filter_evaluator(session, observations), chain_index=42)
 
         moves, copies, redraws = [], [], []
         for record in records:
@@ -325,13 +321,10 @@ class TestAcceptanceCriteria:
             samples=10,
             scales={"a": 0.2},
             prior=Prior({"a": UniformPrior(-1.0, 1.0)}),
-            ensemble_size=16,
-            workers=2,
         )
-        with caplog.at_level(logging.WARNING, logger="pmcmc.sampler"):
-            records = run_chain(
-                settings, LinearGaussianModel, observations, chain_index=9,
-            )
+        with caplog.at_level(logging.WARNING, logger="pmcmc.sampler"), \
+                FilterSession(LinearGaussianModel, 16, 2, chain_index=9) as session:
+            records = run_chain(settings, make_filter_evaluator(session, observations), chain_index=9)
 
         completed = len(records) == settings.samples
         all_rejected = all(not record.accepted for record in records[1:])

@@ -5,8 +5,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,3 +121,14 @@ def test_every_diagnostics_field_has_a_reader():
     unread = [field.name for field in dataclasses.fields(pmcmc.executor.FilterDiagnostics)
               if field.name not in loaded]
     assert not unread, f"diagnostics fields nothing reads: {unread}"
+
+
+def test_readme_library_example_runs(tmp_path):
+    """README.md's python blocks, run in order as one script against the
+    source tree, exit 0."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks, "README.md has no python block"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", "\n".join(blocks)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -16,11 +16,13 @@ from pmcmc.cli import (
 )
 from pmcmc.config import Schedule, load_config
 from pmcmc.core import ObservationSeries, Parameters, ValidationError
+from pmcmc.executor import FilterSession
 from pmcmc.models import LinearGaussianModel, get_model_entry, synthesize_linear_gaussian
 from pmcmc.sampler import (
     Prior,
     SamplerSettings,
     UniformPrior,
+    make_filter_evaluator,
     run_chain,
 )
 
@@ -239,8 +241,9 @@ class TestObservationIO:
 def _tiny_chain():
     obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4), seed=3)
     settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2},
-                               Prior({"a": UniformPrior(-1.0, 1.0)}), 8, 2)
-    return run_chain(settings, LinearGaussianModel, obs, chain_index=7)
+                               Prior({"a": UniformPrior(-1.0, 1.0)}))
+    with FilterSession(LinearGaussianModel, 8, 2, chain_index=7) as session:
+        return run_chain(settings, make_filter_evaluator(session, obs), chain_index=7)
 
 
 class TestResultCsv:

@@ -737,7 +737,7 @@ import pmcmc.executor
 from pmcmc.core import Parameters
 from pmcmc.models import LinearGaussianModel
 from pmcmc.models.linear_gaussian import synthesize_linear_gaussian
-from pmcmc.sampler import Prior, SamplerSettings, UniformPrior, run_chain
+from pmcmc.sampler import Prior, SamplerSettings, UniformPrior, make_filter_evaluator, run_chain
 
 context = pmcmc.executor._fork_context()
 
@@ -751,8 +751,9 @@ class Announced(context.Process):
 pmcmc.executor._fork_context = lambda: types.SimpleNamespace(Queue=context.Queue, Process=Announced)
 observations = synthesize_linear_gaussian(Parameters({"a": 0.6}), (1, 2, 3, 4), seed=1)
 settings = SamplerSettings(Parameters({"a": 0.5}), 10**9, {"a": 0.2},
-                           Prior({"a": UniformPrior(-1.0, 1.0)}), 16, 2)
-run_chain(settings, LinearGaussianModel, observations)
+                           Prior({"a": UniformPrior(-1.0, 1.0)}))
+with pmcmc.executor.FilterSession(LinearGaussianModel, 16, 2) as session:
+    run_chain(settings, make_filter_evaluator(session, observations))
 """
 
 

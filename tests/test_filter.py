@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcmc.core import ValidationError
-from pmcmc.filtering import (
-    estimate_marginal_from_log,
-    redraw_rate,
-    resample_multinomial,
-)
+from pmcmc.executor import FilterDiagnostics
+from pmcmc.filtering import estimate_marginal_from_log, resample_multinomial
 
 
 class TestMultinomialResampling:
@@ -61,21 +58,22 @@ class TestMultinomialResampling:
         assert freq == pytest.approx(probs, abs=0.02)
 
 
+def _diagnostics(*resample_counts):
+    return FilterDiagnostics(1, 0.0, resample_counts, (), (), ())
+
+
 class TestRedrawRate:
+    """``FilterDiagnostics.redraw_rates``: per resampling event, the
+    fraction of particles drawn at least once."""
+
     def test_all_survive(self):
-        assert redraw_rate([1, 1, 1, 1]) == 1.0
+        assert _diagnostics((1, 1, 1, 1)).redraw_rates == (1.0,)
 
     def test_half_survive(self):
-        assert redraw_rate([2, 2, 2, 2, 0, 0, 0, 0]) == 0.5
+        assert _diagnostics((2, 2, 2, 2, 0, 0, 0, 0)).redraw_rates == (0.5,)
 
     def test_single_survivor(self):
-        assert redraw_rate([8, 0, 0, 0, 0, 0, 0, 0]) == 0.125
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            redraw_rate([])
-        with pytest.raises(ValidationError):
-            redraw_rate([1, -1])
+        assert _diagnostics((8, 0, 0, 0, 0, 0, 0, 0), (1, 1)).redraw_rates == (0.125, 1.0)
 
 
 def _log(rows):

@@ -7,6 +7,7 @@ import pytest
 from test_executor import _count_messages, _count_starts, _FaultyModel, _live, needs_fork
 
 from pmcmc.core import EngineError, Parameters, ValidationError, make_stream
+from pmcmc.executor import FilterSession, run_particle_filter
 from pmcmc.models import LinearGaussianModel, synthesize_linear_gaussian
 from pmcmc.sampler import (
     ChainRecord,
@@ -26,6 +27,11 @@ _WIDE = Prior({"a": UniformPrior(-1e9, 1e9)})
 
 def _record(theta, log_likelihood=0.0, log_prior=0.0, sample_index=0):
     return ChainRecord(sample_index, theta, log_likelihood, 0.0, log_prior, True, theta)
+
+
+def _settings(current, scales, prior=_WIDE):
+    """Settings of a chain at ``current``'s parameters."""
+    return SamplerSettings(current.theta, 2, scales, prior)
 
 
 def _fixed_evaluator(value, log_std=0.0, calls=None):
@@ -113,7 +119,7 @@ class TestMhStep:
         # impossibly bad proposal likelihood: the step must repeat theta
         # and its stored estimate while recording the attempt
         current = _record(Parameters({"a": 0.5}), log_likelihood=-10.0)
-        step = mh_step(current, {"a": 0.1}, _fixed_evaluator(-1e9), _WIDE, make_stream(1))
+        step = mh_step(current, _settings(current, {"a": 0.1}), _fixed_evaluator(-1e9), make_stream(1))
         assert not step.accepted
         assert step.theta == current.theta
         assert step.log_likelihood == -10.0
@@ -122,8 +128,8 @@ class TestMhStep:
 
     def test_acceptance_takes_proposal(self):
         current = _record(Parameters({"a": 0.5}), log_likelihood=-1e9)
-        step = mh_step(current, {"a": 0.1}, _fixed_evaluator(-10.0, log_std=0.25),
-                       _WIDE, make_stream(1))
+        step = mh_step(current, _settings(current, {"a": 0.1}),
+                       _fixed_evaluator(-10.0, log_std=0.25), make_stream(1))
         assert step.accepted
         assert step.theta == step.proposal
         assert step.log_likelihood == -10.0 and step.log_std == 0.25
@@ -133,8 +139,8 @@ class TestMhStep:
         prior = Prior({"a": UniformPrior(-1.0, 1.0)})
         current = _record(Parameters({"a": 0.0}), log_likelihood=-5.0,
                           log_prior=prior.log_density(Parameters({"a": 0.0})))
-        step = mh_step(current, {"a": 1e6}, _fixed_evaluator(0.0, calls=calls),
-                       prior, make_stream(3))
+        step = mh_step(current, _settings(current, {"a": 1e6}, prior),
+                       _fixed_evaluator(0.0, calls=calls), make_stream(3))
         assert calls == []
         assert not step.accepted
         assert abs(step.proposal["a"]) > 1.0
@@ -147,90 +153,125 @@ class TestMhStep:
 
         current = _record(Parameters({"a": 0.5}), sample_index=6)
         with pytest.raises(EngineError, match="sample 7.*filter exploded"):
-            mh_step(current, {"a": 0.1}, broken, _WIDE, make_stream(1))
+            mh_step(current, _settings(current, {"a": 0.1}), broken, make_stream(1))
 
     def test_invalid_evaluation_rejected(self):
         current = _record(Parameters({"a": 0.5}))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
-                mh_step(current, {"a": 0.1}, _fixed_evaluator(bad), _WIDE, make_stream(1))
+                mh_step(current, _settings(current, {"a": 0.1}), _fixed_evaluator(bad), make_stream(1))
 
     def test_degenerate_evaluation_logs_and_rejects(self, caplog):
         current = _record(Parameters({"a": 0.5}), log_likelihood=-10.0)
         with caplog.at_level(logging.WARNING, logger="pmcmc.sampler"):
-            step = mh_step(current, {"a": 0.1}, _fixed_evaluator(-math.inf),
-                           _WIDE, make_stream(1))
+            step = mh_step(current, _settings(current, {"a": 0.1}),
+                           _fixed_evaluator(-math.inf), make_stream(1))
         assert not step.accepted
         assert step.log_likelihood == -10.0
         assert any("degenerate" in r.message for r in caplog.records)
 
-    def test_scale_validation(self):
-        current = _record(Parameters({"a": 0.5}))
-        evaluator = _fixed_evaluator(0.0)
-        with pytest.raises(ValidationError):
-            mh_step(current, {}, evaluator, _WIDE, make_stream(1))
-        with pytest.raises(ValidationError):
-            mh_step(current, {"zzz": 0.1}, evaluator, _WIDE, make_stream(1))
-        with pytest.raises(ValidationError):
-            mh_step(current, {"a": -0.1}, evaluator, _WIDE, make_stream(1))
-        with pytest.raises(ValidationError):
-            mh_step(current, {"a": math.inf}, evaluator, _WIDE, make_stream(1))
-
     def test_untouched_parameters_pass_through(self):
         current = _record(Parameters({"a": 0.5, "b": 7.0}))
         prior = Prior({"a": UniformPrior(-1e9, 1e9)})
-        step = mh_step(current, {"a": 0.1}, _fixed_evaluator(1.0), prior, make_stream(2))
+        step = mh_step(current, _settings(current, {"a": 0.1}, prior), _fixed_evaluator(1.0), make_stream(2))
         assert step.proposal["b"] == 7.0
+
+
+_AQ = Parameters({"a": 0.5, "q": 0.2})
+
+
+class TestSamplerSettings:
+    """Every chain rule is checked once, where the settings are made."""
+
+    def test_scale_validation(self):
+        for scales, message in (
+            ({}, "at least one proposal scale"),
+            ({"zzz": 0.1}, "proposal_scales names unknown parameter 'zzz'"),
+            ({"a": -0.1}, r"proposal_scales\.a must be finite and >= 0"),
+            ({"a": math.inf}, r"proposal_scales\.a must be finite and >= 0"),
+            ({"a": math.nan}, r"proposal_scales\.a must be finite and >= 0"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                SamplerSettings(_AQ, 2, scales, _WIDE)
+
+    def test_scale_without_prior_rejected(self):
+        # a scale with no prior entry would random-walk under a flat prior
+        # over the real line
+        with pytest.raises(ValidationError, match=r"proposal_scales\.q has no prior"):
+            SamplerSettings(_AQ, 2, {"a": 0.1, "q": 0.5}, _WIDE)
+
+    def test_prior_over_unknown_parameter_rejected(self):
+        prior = Prior({"a": UniformPrior(-1.0, 1.0), "zz": UniformPrior(0.0, 1.0)})
+        with pytest.raises(ValidationError, match="prior names unknown parameter 'zz'"):
+            SamplerSettings(_AQ, 2, {"a": 0.1}, prior)
+        # named before a scale without prior, as the config loader reports it
+        with pytest.raises(ValidationError, match="prior names unknown parameter 'zz'"):
+            SamplerSettings(_AQ, 2, {"a": 0.1, "q": 0.5}, prior)
+
+    def test_bad_setting_fails_before_any_evaluation(self):
+        calls = []
+        for initial, scales in ((_AQ, {"a": 0.1, "q": 0.5}), (_AQ, {"zz": 0.1}), (_AQ, {"a": -1.0}),
+                                (_AQ, {"a": math.inf}), (_AQ, {}), ({"a": 0.5}, {"a": 0.1})):
+            with pytest.raises(ValidationError):
+                run_chain(SamplerSettings(initial, 3, scales, _WIDE), _fixed_evaluator(0.0, calls=calls))
+        assert calls == []
+
+    @needs_fork
+    def test_bad_setting_starts_no_worker(self, monkeypatch):
+        starts = _count_starts(monkeypatch)
+        obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4), seed=3)
+        with FilterSession(LinearGaussianModel, 8, 2) as session:
+            with pytest.raises(ValidationError, match="has no prior"):
+                run_chain(SamplerSettings(_AQ, 3, {"a": 0.1, "q": 0.5}, _WIDE),
+                          make_filter_evaluator(session, obs))
+        assert starts == []
 
 
 class TestRunChain:
     def test_single_sample_chain(self):
-        settings = SamplerSettings(Parameters({"a": 0.5}), 1, {"a": 0.1}, _WIDE, 4, 1)
-        records = run_chain(settings, None, None, evaluator=_fixed_evaluator(-3.0))
+        settings = SamplerSettings(Parameters({"a": 0.5}), 1, {"a": 0.1}, _WIDE)
+        records = run_chain(settings, _fixed_evaluator(-3.0))
         assert len(records) == 1
         assert records[0].accepted and records[0].sample_index == 0
         assert records[0].log_likelihood == -3.0
 
     def test_sample_indices_and_proposal_trace(self):
-        settings = SamplerSettings(Parameters({"a": 0.0}), 4, {"a": 0.1}, _WIDE, 4, 1)
-        records = run_chain(settings, None, None, evaluator=_fixed_evaluator(0.0))
+        settings = SamplerSettings(Parameters({"a": 0.0}), 4, {"a": 0.1}, _WIDE)
+        records = run_chain(settings, _fixed_evaluator(0.0))
         assert [r.sample_index for r in records] == [0, 1, 2, 3]
         # fixed likelihood and flat prior: every proposal is accepted
         for r in records[1:]:
             assert r.accepted and r.theta == r.proposal
 
     def test_chain_is_deterministic_given_chain_index(self):
-        settings = SamplerSettings(Parameters({"a": 0.0}), 6, {"a": 0.3}, _WIDE, 4, 1)
-        a = run_chain(settings, None, None, chain_index=9, evaluator=_fixed_evaluator(0.0))
-        b = run_chain(settings, None, None, chain_index=9, evaluator=_fixed_evaluator(0.0))
-        c = run_chain(settings, None, None, chain_index=10, evaluator=_fixed_evaluator(0.0))
+        settings = SamplerSettings(Parameters({"a": 0.0}), 6, {"a": 0.3}, _WIDE)
+        a = run_chain(settings, _fixed_evaluator(0.0), chain_index=9)
+        b = run_chain(settings, _fixed_evaluator(0.0), chain_index=9)
+        c = run_chain(settings, _fixed_evaluator(0.0), chain_index=10)
         assert [r.theta for r in a] == [r.theta for r in b]
         assert [r.theta for r in a] != [r.theta for r in c]
 
     def test_initial_zero_prior_rejected(self):
+        calls = []
         prior = Prior({"a": UniformPrior(-1.0, 1.0)})
-        settings = SamplerSettings(Parameters({"a": 5.0}), 3, {"a": 0.1}, prior, 4, 1)
-        with pytest.raises(ValidationError):
-            run_chain(settings, None, None, evaluator=_fixed_evaluator(0.0))
+        settings = SamplerSettings(Parameters({"a": 5.0}), 3, {"a": 0.1}, prior)
+        with pytest.raises(ValidationError, match="zero prior density"):
+            run_chain(settings, _fixed_evaluator(0.0, calls=calls))
+        assert calls == []
 
     def test_invalid_starting_estimate_rejected(self):
         # the starting point is checked as every proposal is
-        settings = SamplerSettings(Parameters({"a": 0.5}), 3, {"a": 0.1}, _WIDE, 4, 1)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 3, {"a": 0.1}, _WIDE)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="at sample 0"):
-                run_chain(settings, None, None, evaluator=_fixed_evaluator(bad))
-
-    def test_needs_model_or_evaluator(self):
-        settings = SamplerSettings(Parameters({"a": 0.0}), 2, {"a": 0.1}, _WIDE, 4, 1)
-        with pytest.raises(ValidationError):
-            run_chain(settings, None, None)
+                run_chain(settings, _fixed_evaluator(bad))
 
     def test_settings_validation(self):
         with pytest.raises(ValidationError):
-            SamplerSettings(Parameters({"a": 0.0}), 0, {"a": 0.1}, _WIDE, 4, 1)
+            SamplerSettings(Parameters({"a": 0.0}), 0, {"a": 0.1}, _WIDE)
         for samples in (2.5, True):
             with pytest.raises(ValidationError, match="must be an integer"):
-                SamplerSettings(Parameters({"a": 0.0}), samples, {"a": 0.1}, _WIDE, 4, 1)
+                SamplerSettings(Parameters({"a": 0.0}), samples, {"a": 0.1}, _WIDE)
 
     def test_pseudo_marginal_wander_with_frozen_proposal(self):
         """Zero proposal scale leaves theta fixed, yet the chain still
@@ -239,8 +280,8 @@ class TestRunChain:
         def noisy(theta, sample_index):
             return Evaluation(float(make_stream(sample_index).standard_normal()), 0.5, None)
 
-        settings = SamplerSettings(Parameters({"a": 0.0}), 60, {"a": 0.0}, _WIDE, 4, 1)
-        records = run_chain(settings, None, None, evaluator=noisy)
+        settings = SamplerSettings(Parameters({"a": 0.0}), 60, {"a": 0.0}, _WIDE)
+        records = run_chain(settings, noisy)
         rate = sum(r.accepted for r in records[1:]) / (len(records) - 1)
         assert 0.0 < rate < 1.0
         assert all(r.theta == records[0].theta for r in records)
@@ -248,27 +289,26 @@ class TestRunChain:
     def test_filter_backed_chain_worker_invariance(self):
         obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4, 6), seed=11)
         prior = Prior({"a": UniformPrior(-1.0, 1.0)})
-        settings = SamplerSettings(Parameters({"a": 0.5}), 5, {"a": 0.2}, prior, 8, 1)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 5, {"a": 0.2}, prior)
         chains = {}
         for W in (1, 2):
-            chains[W] = run_chain(
-                SamplerSettings(settings.initial, settings.samples, settings.scales,
-                                prior, 8, W),
-                LinearGaussianModel, obs, chain_index=4)
+            with FilterSession(LinearGaussianModel, 8, W, chain_index=4) as session:
+                chains[W] = run_chain(settings, make_filter_evaluator(session, obs), chain_index=4)
         assert [r.theta for r in chains[1]] == [r.theta for r in chains[2]]
         assert [r.log_likelihood for r in chains[1]] == [r.log_likelihood for r in chains[2]]
         assert [r.accepted for r in chains[1]] == [r.accepted for r in chains[2]]
 
     @needs_fork
     def test_filter_backed_chain_launches_its_workers_once(self, monkeypatch):
-        """Every pass of a chain runs on one session: a W=2 chain of 4
-        samples starts 2 worker processes and tells each to exit once."""
+        """Every pass of a chain runs on its caller's session: a W=2 chain
+        of 4 samples starts 2 worker processes and tells each to exit once."""
         before = _live()
         starts = _count_starts(monkeypatch)
         sent = _count_messages(monkeypatch)
         obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4, 6), seed=11)
-        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE, 8, 2)
-        records = run_chain(settings, LinearGaussianModel, obs, chain_index=4)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE)
+        with FilterSession(LinearGaussianModel, 8, 2, chain_index=4) as session:
+            records = run_chain(settings, make_filter_evaluator(session, obs), chain_index=4)
         assert all(r.filter is not None for r in records)
         assert len(starts) == 2
         assert sent["Broadcast"] == 2 * len(records)
@@ -279,15 +319,14 @@ class TestRunChain:
     def test_failed_pass_ends_the_chain_and_its_workers(self, workers):
         # the model fails at sample 1, the chain's second pass
         obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4, 6), seed=11)
-        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE, 4, workers)
+        settings = SamplerSettings(Parameters({"a": 0.5}), 4, {"a": 0.2}, _WIDE)
         before = _live()
         with pytest.raises(EngineError, match="failed at sample 1: RuntimeError: injected run fault"):
-            run_chain(settings, lambda: _FaultyModel("run", 3, 1), obs)
+            with FilterSession(lambda: _FaultyModel("run", 3, 1), 4, workers) as session:
+                run_chain(settings, make_filter_evaluator(session, obs))
         assert _live() == before
 
     def test_filter_evaluator_matches_direct_run(self):
-        from pmcmc.executor import FilterSession, run_particle_filter
-
         obs = synthesize_linear_gaussian(Parameters({"a": 0.6}), (2, 4), seed=3)
         with FilterSession(LinearGaussianModel, 8, 2, chain_index=5) as session:
             evaluation = make_filter_evaluator(session, obs)(Parameters({"a": 0.6}), 7)
